@@ -121,7 +121,9 @@ PointResult run_point(EngineCase& ec, std::size_t tenants, double load,
     return a.tenant < b.tenant;
   });
 
-  ServiceScheduler sched(ServiceConfig{.policy = policy});
+  ServiceConfig cfg;
+  cfg.policy = policy;
+  ServiceScheduler sched(cfg);
   std::vector<TenantSession*> sessions;
   for (std::size_t t = 0; t < tenants; ++t)
     sessions.push_back(&sched.add_tenant(

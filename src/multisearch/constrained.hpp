@@ -46,24 +46,29 @@ struct ConstrainedStats {
   std::size_t rounds = 0;    ///< max rounds used by any copy (<= log2 n)
 };
 
+/// Capacity of a delta-submesh on `shape`: n^delta, but never smaller than
+/// the largest piece it must hold (the paper's O(n^delta) constant). A pure
+/// function of the splitting and the mesh, so a warm engine computes it once
+/// per structure generation instead of once per call.
+inline std::size_t constrained_capacity(const Splitting& psi,
+                                        mesh::MeshShape shape) {
+  return std::max<std::size_t>(
+      {std::size_t{1},
+       static_cast<std::size_t>(std::ceil(
+           std::pow(static_cast<double>(shape.size()), psi.delta))),
+       max_piece_size(psi)});
+}
+
+namespace detail {
+/// The procedure proper, with the submesh capacity supplied by the caller
+/// (constrained_capacity of the same splitting and shape).
 template <SearchProgram P>
-ConstrainedStats constrained_multisearch(const DistributedGraph& g,
-                                         const Splitting& psi, const P& prog,
-                                         std::vector<Query>& queries,
-                                         const mesh::CostModel& m,
-                                         mesh::MeshShape shape,
-                                         bool duplicate_copies = true) {
+ConstrainedStats constrained_multisearch_core(
+    const DistributedGraph& g, const Splitting& psi, std::size_t cap,
+    const P& prog, std::vector<Query>& queries, const mesh::CostModel& m,
+    mesh::MeshShape shape, bool duplicate_copies) {
   ConstrainedStats st;
   const double p = static_cast<double>(shape.size());
-  const std::size_t n = shape.size();
-
-  // Capacity of a delta-submesh: n^delta, but never smaller than the largest
-  // piece it must hold (the paper's O(n^delta) constant).
-  const std::size_t cap = std::max<std::size_t>(
-      {std::size_t{1},
-       static_cast<std::size_t>(std::ceil(std::pow(static_cast<double>(n),
-                                                   psi.delta))),
-       max_piece_size(psi)});
   const double s_sub =
       static_cast<double>(mesh::MeshShape::for_elements(cap).size());
 
@@ -205,6 +210,19 @@ ConstrainedStats constrained_multisearch(const DistributedGraph& g,
 
   // Step 7: discard copies — no mesh time.
   return st;
+}
+}  // namespace detail
+
+template <SearchProgram P>
+ConstrainedStats constrained_multisearch(const DistributedGraph& g,
+                                         const Splitting& psi, const P& prog,
+                                         std::vector<Query>& queries,
+                                         const mesh::CostModel& m,
+                                         mesh::MeshShape shape,
+                                         bool duplicate_copies = true) {
+  return detail::constrained_multisearch_core(
+      g, psi, constrained_capacity(psi, shape), prog, queries, m, shape,
+      duplicate_copies);
 }
 
 }  // namespace meshsearch::msearch

@@ -27,6 +27,14 @@ class DistributedGraph {
   /// |V| + |E| (directed edge count; undirected edges count twice).
   std::size_t size() const;
 
+  /// Mutable record access, for builders and apply_updates. A warm engine
+  /// (PreparedSearch) validates the graph once per generation, so a record
+  /// mutated through this reference without a generation bump is a caller
+  /// contract violation: run_batch does not re-check the structure and may
+  /// answer wrongly or read out of bounds. Under paranoid mode
+  /// (MESHSEARCH_PARANOID) run_batch re-validates before every batch and
+  /// rejects a malformed graph as InvalidInputError before anything is
+  /// charged.
   VertexRecord& vert(Vid v) {
     MS_DCHECK(v >= 0 && static_cast<std::size_t>(v) < verts_.size());
     return verts_[static_cast<std::size_t>(v)];

@@ -310,20 +310,18 @@ std::size_t advance_through_levels(const DistributedGraph& g, const P& prog,
   }
   return total;
 }
-}  // namespace detail
 
+/// Algorithm 1 behind hierarchical_multisearch. It checks only the batch
+/// size: the caller has already validated the graph and supplies the band
+/// plan (make_hierarchical_plan of the same DAG and shape). PreparedSearch
+/// calls this directly with the plan it derived once per structure
+/// generation.
 template <SearchProgram P>
-HierarchicalRunResult hierarchical_multisearch(
-    const HierarchicalDag& dag, const P& prog, std::vector<Query>& queries,
-    const mesh::CostModel& m, mesh::MeshShape shape, PlanKind kind,
-    bool charge_band_setup) {
-  // Front door: reject malformed input before any phase is charged.
-  const char* engine =
-      kind == PlanKind::kPaper ? "alg1-paper" : "alg1-geometric";
-  validate_graph(dag.graph(), engine);
-  validate_graph_fits(dag.graph(), shape, engine);
+HierarchicalRunResult hierarchical_core(
+    const HierarchicalDag& dag, const HierarchicalPlan& plan, const P& prog,
+    std::vector<Query>& queries, const mesh::CostModel& m,
+    mesh::MeshShape shape, const char* engine, bool charge_band_setup) {
   validate_batch_size(queries.size(), shape.size(), engine);
-  const HierarchicalPlan plan = make_hierarchical_plan(dag, shape, kind);
   reset_queries(queries);
   const DistributedGraph& g = dag.graph();
   // Paranoid mode: snapshot the post-reset input for the shadow oracle.
@@ -351,8 +349,7 @@ HierarchicalRunResult hierarchical_multisearch(
     for (std::uint32_t a = 0; a < failed; ++a) {
       std::vector<Query> scratch = queries;
       std::vector<std::int32_t> scratch_sweeps = sweeps;
-      detail::advance_through_levels(g, prog, scratch, hi, visit_cap,
-                                     scratch_sweeps);
+      advance_through_levels(g, prog, scratch, hi, visit_cap, scratch_sweeps);
     }
   };
   std::size_t total_visits = 0;
@@ -361,13 +358,12 @@ HierarchicalRunResult hierarchical_multisearch(
     for (std::size_t i = 0; i < plan.bands.size(); ++i) {
       if (retries) wasted_attempts(retries->bands[i].failed_attempts,
                                    plan.bands[i].hi);
-      total_visits += detail::advance_through_levels(
+      total_visits += advance_through_levels(
           g, prog, queries, plan.bands[i].hi, visit_cap, sweeps);
     }
     if (retries) wasted_attempts(retries->bstar.failed_attempts, dag.height());
-    total_visits += detail::advance_through_levels(g, prog, queries,
-                                                   dag.height(), visit_cap,
-                                                   sweeps);
+    total_visits += advance_through_levels(g, prog, queries, dag.height(),
+                                           visit_cap, sweeps);
   }
   for (auto& s : sweeps) s = std::max(s, 1);
   HierarchicalRunResult res =
@@ -376,6 +372,22 @@ HierarchicalRunResult hierarchical_multisearch(
   res.total_visits = total_visits;
   if (paranoid) paranoid_audit(g, prog, std::move(shadow), queries, engine);
   return res;
+}
+}  // namespace detail
+
+template <SearchProgram P>
+HierarchicalRunResult hierarchical_multisearch(
+    const HierarchicalDag& dag, const P& prog, std::vector<Query>& queries,
+    const mesh::CostModel& m, mesh::MeshShape shape, PlanKind kind,
+    bool charge_band_setup) {
+  // Front door: reject malformed input before any phase is charged.
+  const char* engine =
+      kind == PlanKind::kPaper ? "alg1-paper" : "alg1-geometric";
+  validate_graph(dag.graph(), engine);
+  validate_graph_fits(dag.graph(), shape, engine);
+  return detail::hierarchical_core(
+      dag, make_hierarchical_plan(dag, shape, kind), prog, queries, m, shape,
+      engine, charge_band_setup);
 }
 
 }  // namespace meshsearch::msearch

@@ -28,6 +28,7 @@ struct PartitionedRunResult {
   std::size_t log_phases = 0;
   std::size_t constrained_calls = 0;
   std::size_t total_visits = 0;
+  std::size_t copies = 0;  ///< Gamma copies made over all constrained calls
   std::int32_t longest_path = 0;  ///< r: max steps over queries at the end
 };
 
@@ -40,17 +41,21 @@ std::size_t global_multistep(const DistributedGraph& g, const P& prog,
   return advance_all(g, prog, queries);
 }
 
+namespace detail {
+/// The log-phase loop behind multisearch_partitioned. It checks only the
+/// batch size: the caller has already validated the graph and both
+/// splittings and supplies each splitting's Constrained-Multisearch submesh
+/// capacity (constrained_capacity). PreparedSearch calls this directly with
+/// the values it derived once per structure generation.
 template <SearchProgram P>
-PartitionedRunResult multisearch_partitioned(
-    const DistributedGraph& g, const Splitting& psi_a, const Splitting& psi_b,
-    const P& prog, std::vector<Query>& queries, const mesh::CostModel& m,
-    mesh::MeshShape shape, bool duplicate_copies = true) {
-  // Front door: reject malformed input before any phase is charged.
+PartitionedRunResult partitioned_core(const DistributedGraph& g,
+                                      const Splitting& psi_a, std::size_t cap_a,
+                                      const Splitting& psi_b, std::size_t cap_b,
+                                      const P& prog, std::vector<Query>& queries,
+                                      const mesh::CostModel& m,
+                                      mesh::MeshShape shape,
+                                      bool duplicate_copies) {
   constexpr const char* kEngine = "partitioned";
-  validate_graph(g, kEngine);
-  validate_splitting_input(g, psi_a, kEngine);
-  validate_splitting_input(g, psi_b, kEngine);
-  validate_graph_fits(g, shape, kEngine);
   validate_batch_size(queries.size(), shape.size(), kEngine);
   PartitionedRunResult res;
   const double p = static_cast<double>(shape.size());
@@ -71,7 +76,7 @@ PartitionedRunResult multisearch_partitioned(
       // Step 1: visit first/next node.
       trace::SpanScope s(m.trace, "phase.step1: global multistep");
       std::size_t advanced = 0;
-      res.cost += detail::recovered_phase(m, p, "phase.step1", queries, [&] {
+      res.cost += recovered_phase(m, p, "phase.step1", queries, [&] {
         advanced = global_multistep(g, prog, queries);
         return m.rar(p);
       });
@@ -81,20 +86,22 @@ PartitionedRunResult multisearch_partitioned(
       // Step 2. The whole Constrained-Multisearch call (its steps 1-6) is
       // one checkpoint unit.
       trace::SpanScope s(m.trace, "phase.step2: constrained(Psi_A)");
-      std::size_t advanced = 0;
-      res.cost += detail::recovered_phase(m, p, "phase.step2", queries, [&] {
-        const auto s2 = constrained_multisearch(g, psi_a, prog, queries, m,
-                                                shape, duplicate_copies);
+      std::size_t advanced = 0, copies = 0;
+      res.cost += recovered_phase(m, p, "phase.step2", queries, [&] {
+        const auto s2 = constrained_multisearch_core(
+            g, psi_a, cap_a, prog, queries, m, shape, duplicate_copies);
         advanced = s2.advanced;
+        copies = s2.copies;
         return s2.cost;
       });
       res.total_visits += advanced;
+      res.copies += copies;
     }
     {
       // Step 3.
       trace::SpanScope s(m.trace, "phase.step3: global multistep");
       std::size_t advanced = 0;
-      res.cost += detail::recovered_phase(m, p, "phase.step3", queries, [&] {
+      res.cost += recovered_phase(m, p, "phase.step3", queries, [&] {
         advanced = global_multistep(g, prog, queries);
         return m.rar(p);
       });
@@ -103,14 +110,16 @@ PartitionedRunResult multisearch_partitioned(
     {
       // Step 4.
       trace::SpanScope s(m.trace, "phase.step4: constrained(Psi_B)");
-      std::size_t advanced = 0;
-      res.cost += detail::recovered_phase(m, p, "phase.step4", queries, [&] {
-        const auto s4 = constrained_multisearch(g, psi_b, prog, queries, m,
-                                                shape, duplicate_copies);
+      std::size_t advanced = 0, copies = 0;
+      res.cost += recovered_phase(m, p, "phase.step4", queries, [&] {
+        const auto s4 = constrained_multisearch_core(
+            g, psi_b, cap_b, prog, queries, m, shape, duplicate_copies);
         advanced = s4.advanced;
+        copies = s4.copies;
         return s4.cost;
       });
       res.total_visits += advanced;
+      res.copies += copies;
     }
     res.constrained_calls += 2;
     ++res.log_phases;
@@ -120,6 +129,23 @@ PartitionedRunResult multisearch_partitioned(
   res.longest_path = max_steps(queries);
   if (paranoid) paranoid_audit(g, prog, std::move(shadow), queries, kEngine);
   return res;
+}
+}  // namespace detail
+
+template <SearchProgram P>
+PartitionedRunResult multisearch_partitioned(
+    const DistributedGraph& g, const Splitting& psi_a, const Splitting& psi_b,
+    const P& prog, std::vector<Query>& queries, const mesh::CostModel& m,
+    mesh::MeshShape shape, bool duplicate_copies = true) {
+  // Front door: reject malformed input before any phase is charged.
+  constexpr const char* kEngine = "partitioned";
+  validate_graph(g, kEngine);
+  validate_splitting_input(g, psi_a, kEngine);
+  validate_splitting_input(g, psi_b, kEngine);
+  validate_graph_fits(g, shape, kEngine);
+  return detail::partitioned_core(g, psi_a, constrained_capacity(psi_a, shape),
+                                  psi_b, constrained_capacity(psi_b, shape),
+                                  prog, queries, m, shape, duplicate_copies);
 }
 
 /// Algorithm 2: alpha-partitionable directed graphs (Theorem 5).

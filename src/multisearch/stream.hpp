@@ -20,10 +20,15 @@
 //     plan, Alg 2, Alg 3). Construction charges the one-time setup through
 //     the CostModel (so it lands in the trace attribution like any other
 //     work) and caches the host-side artifacts: the distributed graph, the
-//     validated level indices, the band plan and its Lemma-1 replica labels.
-//     run_batch() then charges only inject + multisearch, with Algorithm 1's
-//     per-band steps 1-3a suppressed (charge_band_setup = false): the
-//     replicas are already resident.
+//     validated level indices, the band plan and its Lemma-1 replica labels,
+//     each splitting's Constrained-Multisearch submesh capacity. The
+//     structure is validated and these constants derived once per structure
+//     generation (construction and full refresh), never per batch.
+//     run_batch() checks only the batch size and then charges only inject +
+//     multisearch, through the same internal core as the one-shot front
+//     doors, with Algorithm 1's per-band steps 1-3a suppressed
+//     (charge_band_setup = false): the replicas are already resident. Under
+//     MESHSEARCH_PARANOID it re-validates the structure before every batch.
 //
 //   * StreamScheduler<P> — slices a query stream into batches of at most
 //     mesh-capacity queries under a BatchPolicy (FIFO, or locality-reorder:
@@ -47,7 +52,8 @@
 // topological deltas or force_full re-run the full setup. After refresh the
 // warm engine is bit-identical to a cold engine built from the post-update
 // structure. Resizing the mesh still requires a new PreparedSearch. Query
-// contents never invalidate anything.
+// contents never invalidate anything. A graph mutated in place WITHOUT a
+// generation bump is outside the contract (see DistributedGraph::vert).
 #pragma once
 
 #include <algorithm>
@@ -209,6 +215,8 @@ struct BatchReport {
                       ///< engine, or every batch under resetup_every_batch)
   mesh::Cost inject;  ///< inject_queries for this batch
   mesh::Cost run;     ///< the multisearch proper
+  std::size_t copies = 0;  ///< Gamma copies made by Constrained-Multisearch
+                           ///< (Alg 2/3; 0 for Alg 1)
   std::uint32_t replans = 0;  ///< re-plan generation (0 = original slicing)
   bool degraded = false;  ///< retry budget exhausted even after re-planning;
                           ///< the batch's queries are REPORTED failed, never
@@ -281,18 +289,7 @@ class PreparedSearch {
         prog_(std::move(prog)),
         m_(&m),
         shape_(shape) {
-    // Front door: reject malformed input before charging the setup.
-    validate_graph(*g_, engine_kind_name(kind_));
-    validate_graph_fits(*g_, shape_, engine_kind_name(kind_));
-    plan_ = make_hierarchical_plan(dag, shape_, plan_kind_);
-    labels_ = band_labels(plan_, shape_);
-    // Only the log* plan satisfies the Theorem-2 resident-replica storage
-    // bound; the geometric plan stages its copies transiently (§5.9
-    // trade-off), so its labels legitimately exceed capacity.
-    if (plan_kind_ == PlanKind::kPaper)
-      verify_label_capacity(plan_, shape_, labels_);
-    prepared_generation_ = g_->generation();
-    setup_cost_ = charge_setup();
+    prepare();
   }
 
   /// Warm Algorithm-2/3 engine. The splittings are copied (the engine's
@@ -311,13 +308,7 @@ class PreparedSearch {
     if (kind != EngineKind::kAlg2Alpha && kind != EngineKind::kAlg3AlphaBeta)
       invalid_input("partitioned PreparedSearch requires an Alg 2/3 kind",
                     "PreparedSearch");
-    // Front door: reject malformed input before charging the setup.
-    validate_graph(*g_, engine_kind_name(kind_));
-    validate_graph_fits(*g_, shape_, engine_kind_name(kind_));
-    validate_splitting_input(*g_, psi_a_, engine_kind_name(kind_));
-    validate_splitting_input(*g_, psi_b_, engine_kind_name(kind_));
-    prepared_generation_ = g_->generation();
-    setup_cost_ = charge_setup();
+    prepare();
   }
 
   EngineKind kind() const { return kind_; }
@@ -383,28 +374,17 @@ class PreparedSearch {
           messages += static_cast<double>(replica_copies(g_->vert(v).level));
         return m_->rebuild(p, std::max(1.0, std::ceil(messages / p)));
       });
+      prepared_generation_ = g_->generation();
     } else {
-      // Full re-setup. Re-validate at the front door: the mutated structure
-      // must still be a graph this engine kind can serve.
-      validate_graph(*g_, engine_kind_name(kind_));
-      validate_graph_fits(*g_, shape_, engine_kind_name(kind_));
-      if (dag_ != nullptr) {
-        plan_ = make_hierarchical_plan(*dag_, shape_, plan_kind_);
-        labels_ = band_labels(plan_, shape_);
-        if (plan_kind_ == PlanKind::kPaper)
-          verify_label_capacity(plan_, shape_, labels_);
-      } else {
-        if (req.has_splittings) {
-          psi_a_ = req.psi_a;
-          psi_b_ = req.psi_b;
-        }
-        validate_splitting_input(*g_, psi_a_, engine_kind_name(kind_));
-        validate_splitting_input(*g_, psi_b_, engine_kind_name(kind_));
+      // Full re-setup: the mutated structure must still be one this engine
+      // kind can serve, and every per-structure constant is re-derived.
+      if (dag_ == nullptr && req.has_splittings) {
+        psi_a_ = req.psi_a;
+        psi_b_ = req.psi_b;
       }
-      setup_cost_ = charge_setup();
+      prepare();
       rep.cost = setup_cost_;
     }
-    prepared_generation_ = g_->generation();
     ++refreshes_;
     return rep;
   }
@@ -471,30 +451,39 @@ class PreparedSearch {
   /// Run one batch on the warm engine: inject + multisearch, no setup.
   /// `batch.size()` must be at most capacity(). The queries are advanced in
   /// place (outcome fields hold the answers afterwards).
+  ///
+  /// The structure itself is not re-validated here: it was validated when
+  /// this generation was prepared, and the generation gate fences every
+  /// mutation made through a structure's apply_updates. Only the batch size
+  /// is checked. Under paranoid mode (MESHSEARCH_PARANOID) the structure is
+  /// re-validated before every batch as well.
   BatchReport run_batch(std::vector<Query>& batch) {
     check_fresh("run_batch");
     BatchReport rep;
     rep.size = batch.size();
     if (batch.empty()) return rep;
-    validate_batch_size(batch.size(), capacity(), engine_kind_name(kind_));
+    const char* engine = engine_kind_name(kind_);
+    validate_batch_size(batch.size(), capacity(), engine);
+    if (paranoid_enabled()) validate_structure();
     rep.inject = inject_queries(batch.size(), *m_, shape_);
     switch (kind_) {
       case EngineKind::kAlg1Paper:
       case EngineKind::kAlg1Geometric: {
-        const HierarchicalRunResult r =
-            hierarchical_multisearch(*dag_, prog_, batch, *m_, shape_,
-                                     plan_kind_, /*charge_band_setup=*/false);
+        const HierarchicalRunResult r = detail::hierarchical_core(
+            *dag_, plan_, prog_, batch, *m_, shape_, engine,
+            /*charge_band_setup=*/false);
         rep.run = r.cost;
         rep.visits = r.total_visits;
         break;
       }
       case EngineKind::kAlg2Alpha:
       case EngineKind::kAlg3AlphaBeta: {
-        const PartitionedRunResult r =
-            multisearch_partitioned(*g_, psi_a_, psi_b_, prog_, batch, *m_,
-                                    shape_, duplicate_copies_);
+        const PartitionedRunResult r = detail::partitioned_core(
+            *g_, psi_a_, cap_a_, psi_b_, cap_b_, prog_, batch, *m_, shape_,
+            duplicate_copies_);
         rep.run = r.cost;
         rep.visits = r.total_visits;
+        rep.copies = r.copies;
         break;
       }
     }
@@ -503,6 +492,43 @@ class PreparedSearch {
   }
 
  private:
+  /// The engine's one structure gate: the graph (and, for Alg 2/3, both
+  /// splittings) must be well-formed and fit the mesh. Throws
+  /// InvalidInputError / CapacityError before anything is charged.
+  void validate_structure() const {
+    const char* engine = engine_kind_name(kind_);
+    validate_graph(*g_, engine);
+    validate_graph_fits(*g_, shape_, engine);
+    if (dag_ == nullptr) {
+      validate_splitting_input(*g_, psi_a_, engine);
+      validate_splitting_input(*g_, psi_b_, engine);
+    }
+  }
+
+  /// Prepare the current structure generation: validate it, derive the
+  /// per-structure constants run_batch reuses (Alg 1: band plan and replica
+  /// labels; Alg 2/3: each splitting's submesh capacity), charge the
+  /// one-time setup, and only then adopt the generation — a setup that
+  /// throws (e.g. FaultExhaustedError) leaves a refreshing engine stale.
+  /// Construction and the full refresh path both come through here.
+  void prepare() {
+    validate_structure();
+    if (dag_ != nullptr) {
+      plan_ = make_hierarchical_plan(*dag_, shape_, plan_kind_);
+      labels_ = band_labels(plan_, shape_);
+      // Only the log* plan satisfies the Theorem-2 resident-replica storage
+      // bound; the geometric plan stages its copies transiently (§5.9
+      // trade-off), so its labels legitimately exceed capacity.
+      if (plan_kind_ == PlanKind::kPaper)
+        verify_label_capacity(plan_, shape_, labels_);
+    } else {
+      cap_a_ = constrained_capacity(psi_a_, shape_);
+      cap_b_ = constrained_capacity(psi_b_, shape_);
+    }
+    setup_cost_ = charge_setup();
+    prepared_generation_ = g_->generation();
+  }
+
   /// The stale gate: a mutated structure must never be served silently.
   void check_fresh(const char* phase) const {
     if (g_->generation() == prepared_generation_) return;
@@ -542,6 +568,7 @@ class PreparedSearch {
   HierarchicalPlan plan_;                 ///< cached band plan (Alg 1)
   std::vector<std::int32_t> labels_;      ///< cached replica labels (Alg 1)
   Splitting psi_a_, psi_b_;               ///< cached splittings (Alg 2/3)
+  std::size_t cap_a_ = 0, cap_b_ = 0;     ///< their submesh capacities
   P prog_;
   const mesh::CostModel* m_;
   mesh::MeshShape shape_;
@@ -629,6 +656,7 @@ class StreamScheduler {
         const BatchReport r = engine_->run_batch(batch);
         rep.size = r.size;
         rep.visits = r.visits;
+        rep.copies = r.copies;
         rep.inject = r.inject;
         rep.run = r.run;
         for (std::size_t k = 0; k < cur.indices.size(); ++k)

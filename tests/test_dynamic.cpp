@@ -25,6 +25,8 @@
 #include <algorithm>
 #include <map>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "datastruct/interval_tree.hpp"
@@ -454,6 +456,7 @@ RunRecord warm_cold_flow(MakeWarm make_warm, MakeCold make_cold,
   EXPECT_EQ(wrep.inject, crep.inject);
   EXPECT_EQ(wrep.run, crep.run);
   EXPECT_EQ(wrep.visits, crep.visits);
+  EXPECT_EQ(wrep.copies, crep.copies);  // Gamma copies (Alg 2/3)
 
   auto seq = qs;
   oracle(seq);
@@ -601,6 +604,65 @@ TEST(UpdateWarmColdOracle, KirkpatrickTopologyChangeTakesFullResetup) {
           sequential_multisearch(kp.dag(), kp.locate_program(), seq);
         },
         qs);
+  });
+}
+
+// A topological delta that changes the largest piece changes the submesh
+// capacity Constrained-Multisearch sizes its Gamma copies by — a constant
+// the partitioned warm engine caches per structure generation, so refresh
+// must re-derive it. (The payload-only flows above keep the cached value.)
+template <typename Prog>
+RunRecord grow_kary_flow(TreeMode mode, Prog (KaryTree::*program)() const,
+                         const std::vector<Query>& qs) {
+  const bool directed = mode == TreeMode::kDirected;
+  const EngineKind kind =
+      directed ? EngineKind::kAlg2Alpha : EngineKind::kAlg3AlphaBeta;
+  KaryTree tree(ds::iota_keys(27), 3, mode);  // 27 keys fill the leaf level
+  const mesh::MeshShape shape(32);            // room for the grown tree
+  const auto splittings = [&] {
+    return directed ? std::pair{tree.alpha_splitting(), tree.alpha_splitting()}
+                    : tree.alpha_beta_splittings();
+  };
+  const auto make = [&](const mesh::CostModel& m) {
+    const auto [a, b] = splittings();
+    return std::make_unique<PreparedSearch<Prog>>(kind, tree.graph(), a, b,
+                                                  (tree.*program)(), m, shape);
+  };
+  return warm_cold_flow(
+      make, make,
+      [&] {
+        const Splitting before = splittings().first;
+        RefreshRequest req;
+        req.delta = tree.apply_updates({ds::WeightedKey{100, 5}}, {});
+        EXPECT_TRUE(req.delta.topology_changed);  // a 28th key grows a level
+        req.has_splittings = true;
+        std::tie(req.psi_a, req.psi_b) = splittings();
+        EXPECT_NE(constrained_capacity(req.psi_a, shape),
+                  constrained_capacity(before, shape));
+        return req;
+      },
+      [&](std::vector<Query>& seq) {
+        sequential_multisearch(tree.graph(), (tree.*program)(), seq);
+      },
+      qs);
+}
+
+TEST(UpdateWarmColdOracle, Alg2TopologyChangeRederivesSubmeshCapacity) {
+  const auto qs = rank_queries(256, 140, 71);
+  expect_update_invariant([&] {
+    return grow_kary_flow(TreeMode::kDirected, &KaryTree::rank_count, qs);
+  });
+}
+
+TEST(UpdateWarmColdOracle, Alg3TopologyChangeRederivesSubmeshCapacity) {
+  auto qs = make_queries(256);
+  util::Rng rng(72);
+  for (auto& q : qs) {
+    q.key[0] = rng.uniform_range(-3, 110);
+    q.key[1] = q.key[0] + rng.uniform_range(0, 20);
+  }
+  expect_update_invariant([&] {
+    return grow_kary_flow(TreeMode::kUndirected, &KaryTree::euler_scan, qs);
   });
 }
 

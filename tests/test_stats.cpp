@@ -204,17 +204,23 @@ TEST(StatsRegistry, ResetZeroesValuesKeepsRegistrations) {
 TEST(TraceMetrics, TenThousandMetricsKeepOrderAndOverwrite) {
   meshsearch::trace::TraceRecorder rec("test");
   constexpr int kN = 10000;
+  // Appending (rather than `"m" + std::to_string(i)`) sidesteps a GCC 12
+  // -Wrestrict false positive that breaks -Werror builds.
+  const auto name = [](int i) {
+    std::string s = "m";
+    s += std::to_string(i);
+    return s;
+  };
   for (int i = 0; i < kN; ++i)
-    rec.metric("m" + std::to_string(i), static_cast<double>(i));
+    rec.metric(name(i), static_cast<double>(i));
   // Overwrite every metric once — the old implementation scanned the whole
   // vector per call, turning this loop quadratic.
   for (int i = 0; i < kN; ++i)
-    rec.metric("m" + std::to_string(i), static_cast<double>(2 * i));
+    rec.metric(name(i), static_cast<double>(2 * i));
   const auto metrics = rec.metrics();
   ASSERT_EQ(metrics.size(), static_cast<std::size_t>(kN));
   for (int i : {0, 1, 4999, 9999}) {
-    EXPECT_EQ(metrics[static_cast<std::size_t>(i)].name,
-              "m" + std::to_string(i));
+    EXPECT_EQ(metrics[static_cast<std::size_t>(i)].name, name(i));
     EXPECT_DOUBLE_EQ(metrics[static_cast<std::size_t>(i)].value, 2.0 * i);
   }
 }

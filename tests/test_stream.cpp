@@ -316,6 +316,137 @@ TEST(StreamWarm, Alg1RunWithoutBandSetupIsCheaperByExactlyThatSetup) {
 }
 
 // ---------------------------------------------------------------------------
+// One core behind two entry points: PreparedSearch::run_batch and the public
+// one-shot front doors (multisearch_partitioned, hierarchical_multisearch)
+// run the same core, so on the same batch they agree bit for bit — outcomes,
+// charges, visits, Gamma copies and per-primitive attribution.
+// ---------------------------------------------------------------------------
+
+/// What one batch produced through one entry point.
+struct EntryRecord {
+  std::vector<QueryOutcome> out;
+  mesh::Cost inject, run;
+  std::size_t visits = 0;
+  std::size_t copies = 0;
+  std::map<trace::PrimitiveKey, trace::PrimitiveStat> counters;
+};
+
+/// Serve `batch` on a warm engine prepared over `m`, attributing only the
+/// batch (the construction-time setup is not in the recorder).
+template <SearchProgram P>
+EntryRecord via_run_batch(PreparedSearch<P>& engine, mesh::CostModel& m,
+                          std::vector<Query> batch) {
+  trace::TraceRecorder rec;
+  m.trace = &rec;
+  const BatchReport rep = engine.run_batch(batch);
+  m.trace = nullptr;
+  return {outcomes(batch), rep.inject, rep.run, rep.visits, rep.copies,
+          rec.counters()};
+}
+
+/// Serve `batch` through a one-shot front door: inject_queries, then `run`,
+/// which fills the run charge, visits and copies of the record.
+template <typename Run>
+EntryRecord via_front_door(mesh::MeshShape shape, std::vector<Query> batch,
+                           Run run) {
+  trace::TraceRecorder rec;
+  mesh::CostModel m;
+  m.trace = &rec;
+  EntryRecord r;
+  r.inject = inject_queries(batch.size(), m, shape);
+  run(batch, m, r);
+  r.out = outcomes(batch);
+  r.counters = rec.counters();
+  return r;
+}
+
+void expect_same_entry(const EntryRecord& warm, const EntryRecord& front) {
+  EXPECT_EQ(diff_outcomes(warm.out, front.out), "");
+  EXPECT_EQ(warm.inject, front.inject);  // exact, not approximate
+  EXPECT_EQ(warm.run, front.run);
+  EXPECT_EQ(warm.visits, front.visits);
+  EXPECT_EQ(warm.copies, front.copies);
+  EXPECT_TRUE(warm.counters == front.counters)
+      << "per-primitive attribution diverged";
+  EXPECT_GT(front.visits, 0u);
+}
+
+TEST(StreamCore, RunBatchEqualsFrontDoorAlg1BothPlans) {
+  const Alg1Fixture fx;
+  const std::size_t cap = fx.shape.size();
+  const auto stream = fx.stream(2 * cap);
+  const std::vector<Query> first(stream.begin(), stream.begin() + cap);
+  const std::vector<Query> second(stream.begin() + cap, stream.end());
+  for (const PlanKind plan : {PlanKind::kPaper, PlanKind::kGeometric}) {
+    mesh::CostModel m;
+    PreparedSearch engine(fx.dag, plan, ds::HashWalk{0}, m, fx.shape);
+    for (const auto* batch : {&first, &second}) {
+      const EntryRecord warm = via_run_batch(engine, m, *batch);
+      const EntryRecord front = via_front_door(
+          fx.shape, *batch,
+          [&](std::vector<Query>& qs, const mesh::CostModel& fm,
+              EntryRecord& r) {
+            const auto res = hierarchical_multisearch(
+                fx.dag, ds::HashWalk{0}, qs, fm, fx.shape, plan,
+                /*charge_band_setup=*/false);
+            r.run = res.cost;
+            r.visits = res.total_visits;
+          });
+      expect_same_entry(warm, front);
+    }
+  }
+}
+
+TEST(StreamCore, RunBatchEqualsFrontDoorAlg2Alpha) {
+  const Alg2Fixture fx;
+  const Splitting psi = fx.tree.alpha_splitting();
+  mesh::CostModel m;
+  PreparedSearch engine(EngineKind::kAlg2Alpha, fx.tree.graph(), psi, psi,
+                        fx.tree.rank_count(), m, fx.shape);
+  for (const std::uint64_t seed : {31u, 32u}) {
+    const auto batch = fx.stream(fx.shape.size(), seed);
+    const EntryRecord warm = via_run_batch(engine, m, batch);
+    const EntryRecord front = via_front_door(
+        fx.shape, batch,
+        [&](std::vector<Query>& qs, const mesh::CostModel& fm,
+            EntryRecord& r) {
+          const auto res = multisearch_partitioned(
+              fx.tree.graph(), psi, psi, fx.tree.rank_count(), qs, fm,
+              fx.shape);
+          r.run = res.cost;
+          r.visits = res.total_visits;
+          r.copies = res.copies;
+        });
+    expect_same_entry(warm, front);
+    EXPECT_GT(front.copies, 0u);
+  }
+}
+
+TEST(StreamCore, RunBatchEqualsFrontDoorAlg3AlphaBeta) {
+  const Alg3Fixture fx;
+  mesh::CostModel m;
+  PreparedSearch engine(EngineKind::kAlg3AlphaBeta, fx.tree.graph(), fx.s1,
+                        fx.s2, fx.tree.euler_scan(), m, fx.shape);
+  for (const std::uint64_t seed : {33u, 34u}) {
+    const auto batch = fx.stream(fx.shape.size(), seed);
+    const EntryRecord warm = via_run_batch(engine, m, batch);
+    const EntryRecord front = via_front_door(
+        fx.shape, batch,
+        [&](std::vector<Query>& qs, const mesh::CostModel& fm,
+            EntryRecord& r) {
+          const auto res = multisearch_partitioned(
+              fx.tree.graph(), fx.s1, fx.s2, fx.tree.euler_scan(), qs, fm,
+              fx.shape);
+          r.run = res.cost;
+          r.visits = res.total_visits;
+          r.copies = res.copies;
+        });
+    expect_same_entry(warm, front);
+    EXPECT_GT(front.copies, 0u);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // The naive re-setup-every-batch baseline loses at m/n >= 4 (all engines).
 // ---------------------------------------------------------------------------
 

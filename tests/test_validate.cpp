@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "datastruct/interval_tree.hpp"
@@ -20,6 +21,7 @@
 #include "multisearch/stream.hpp"
 #include "multisearch/synchronous.hpp"
 #include "multisearch/validate.hpp"
+#include "trace/trace.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -288,6 +290,68 @@ TEST(Validate, PreparedSearchRejectsWrongKind) {
 }
 
 // ---------------------------------------------------------------------------
+// The one-shot front doors keep every structure check: a malformed graph,
+// a malformed splitting or an oversized batch is rejected before anything
+// is charged, although PreparedSearch skips these per batch.
+// ---------------------------------------------------------------------------
+
+/// Run `call` against a fresh recorder; it must throw `Err` having charged
+/// nothing.
+template <typename Err, typename Call>
+void expect_throws_uncharged(Call call) {
+  trace::TraceRecorder rec;
+  mesh::CostModel m;
+  m.trace = &rec;
+  EXPECT_THROW(call(m), Err);
+  EXPECT_EQ(rec.total_steps(), 0.0);
+  EXPECT_TRUE(rec.counters().empty());
+}
+
+TEST(Validate, PartitionedFrontDoorRejectsBeforeAnyCharge) {
+  ds::KaryTree tree(ds::iota_keys(64), 2, ds::TreeMode::kDirected);
+  const Splitting psi = tree.alpha_splitting();
+  const auto shape = tree.graph().shape_for(tree.graph().vertex_count());
+  const auto run = [&](const DistributedGraph& g, const Splitting& a,
+                       std::size_t batch, const mesh::CostModel& m) {
+    auto qs = make_queries(batch);
+    multisearch_partitioned(g, a, a, tree.rank_count(), qs, m, shape);
+  };
+  // Malformed graph: an out-of-range neighbour.
+  DistributedGraph bad = tree.graph();
+  bad.vert(0).nbr[0] = static_cast<Vid>(bad.vertex_count() + 5);
+  expect_throws_uncharged<InvalidInputError>(
+      [&](const mesh::CostModel& m) { run(bad, psi, 8, m); });
+  // Malformed splitting: one piece id short.
+  Splitting short_psi = psi;
+  short_psi.piece.pop_back();
+  expect_throws_uncharged<InvalidInputError>(
+      [&](const mesh::CostModel& m) { run(tree.graph(), short_psi, 8, m); });
+  // Oversized batch.
+  expect_throws_uncharged<CapacityError>([&](const mesh::CostModel& m) {
+    run(tree.graph(), psi, shape.size() + 1, m);
+  });
+}
+
+TEST(Validate, HierarchicalFrontDoorRejectsBeforeAnyCharge) {
+  for (const PlanKind plan : {PlanKind::kPaper, PlanKind::kGeometric}) {
+    TinyDag t(6);
+    const HierarchicalDag dag(t.g, 2.0);
+    const auto shape = t.g.shape_for(t.g.vertex_count());
+    const auto run = [&](std::size_t batch, const mesh::CostModel& m) {
+      auto qs = make_queries(batch);
+      hierarchical_multisearch(dag, ds::HashWalk{0}, qs, m, shape, plan);
+    };
+    // Oversized batch on a valid DAG.
+    expect_throws_uncharged<CapacityError>(
+        [&](const mesh::CostModel& m) { run(shape.size() + 1, m); });
+    // Malformed graph: a duplicate edge added after the DAG was built.
+    t.g.add_edge(0, 1);
+    expect_throws_uncharged<InvalidInputError>(
+        [&](const mesh::CostModel& m) { run(4, m); });
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Paranoid mode.
 // ---------------------------------------------------------------------------
 
@@ -321,6 +385,73 @@ TEST(Paranoid, CleanEngineRunPassesTheAudit) {
   // A correct engine must sail through the shadow-oracle audit.
   EXPECT_NO_THROW(
       hierarchical_multisearch(dag, ds::HashWalk{0}, queries, m, shape));
+}
+
+/// Corrupt `g` in place WITHOUT a generation bump (an out-of-range
+/// neighbour on the first vertex that has one) — the caller contract
+/// violation the non-const DistributedGraph::vert() warns about.
+void corrupt_in_place(DistributedGraph& g) {
+  for (std::size_t v = 0; v < g.vertex_count(); ++v) {
+    auto& rec = g.vert(static_cast<Vid>(v));
+    if (rec.degree == 0) continue;
+    rec.nbr[0] = static_cast<Vid>(g.vertex_count() + 7);
+    return;
+  }
+  FAIL() << "graph has no edge to corrupt";
+}
+
+/// A warm engine whose graph was corrupted in place must, under paranoid
+/// mode, reject its next batch as InvalidInputError with nothing charged.
+template <SearchProgram P>
+void expect_paranoid_rejects_corruption(PreparedSearch<P>& engine,
+                                        mesh::CostModel& m,
+                                        DistributedGraph& g) {
+  auto ok = make_queries(8);
+  EXPECT_NO_THROW(engine.run_batch(ok));
+  const std::size_t served = engine.batches_served();
+  corrupt_in_place(g);
+  EXPECT_FALSE(engine.stale());  // the generation gate cannot see this
+  trace::TraceRecorder rec;
+  m.trace = &rec;
+  auto batch = make_queries(8);
+  EXPECT_THROW(engine.run_batch(batch), InvalidInputError);
+  m.trace = nullptr;
+  EXPECT_EQ(rec.total_steps(), 0.0);
+  EXPECT_TRUE(rec.counters().empty());
+  EXPECT_EQ(engine.batches_served(), served);
+}
+
+TEST(Paranoid, WarmEngineRevalidatesCorruptedStructurePerBatch) {
+  const ParanoidGuard on(1);
+  for (const PlanKind plan : {PlanKind::kPaper, PlanKind::kGeometric}) {
+    util::Rng rng(93);
+    auto g = ds::build_hierarchical_dag(600, 2.0, 3, rng);
+    const HierarchicalDag dag(g, 2.0);
+    mesh::CostModel m;
+    PreparedSearch engine(dag, plan, ds::HashWalk{0}, m,
+                          g.shape_for(g.vertex_count()));
+    expect_paranoid_rejects_corruption(engine, m, g);
+  }
+  for (const EngineKind kind :
+       {EngineKind::kAlg2Alpha, EngineKind::kAlg3AlphaBeta}) {
+    const bool alg2 = kind == EngineKind::kAlg2Alpha;
+    ds::KaryTree tree(ds::iota_keys(64), 2,
+                      alg2 ? ds::TreeMode::kDirected
+                           : ds::TreeMode::kUndirected);
+    const auto [s1, s2] = alg2 ? std::pair{tree.alpha_splitting(),
+                                           tree.alpha_splitting()}
+                               : tree.alpha_beta_splittings();
+    DistributedGraph g = tree.graph();  // a copy this test may corrupt
+    mesh::CostModel m;
+    const auto shape = g.shape_for(g.vertex_count());
+    if (alg2) {
+      PreparedSearch engine(kind, g, s1, s2, tree.rank_count(), m, shape);
+      expect_paranoid_rejects_corruption(engine, m, g);
+    } else {
+      PreparedSearch engine(kind, g, s1, s2, tree.euler_scan(), m, shape);
+      expect_paranoid_rejects_corruption(engine, m, g);
+    }
+  }
 }
 
 TEST(Paranoid, AuditDivergenceThrowsIntegrityError) {
