@@ -260,7 +260,6 @@ void brownout_showcase(bool smoke) {
 
   ServiceConfig cfg;
   cfg.brownout.watermark_queries = cap;
-  cfg.brownout.quantum_scale = 0.25;
   ServiceScheduler svc(cfg);
   TenantQuota quota;
   quota.max_outstanding = 1u << 20;

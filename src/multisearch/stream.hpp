@@ -30,14 +30,19 @@
 //     (charge_band_setup = false): the replicas are already resident. Under
 //     MESHSEARCH_PARANOID it re-validates the structure before every batch.
 //
+//   * run_slice — the one slice executor (checkpoint copy, run_batch,
+//     write-back, fault degradation). StreamScheduler and the service
+//     layer's ServiceScheduler both run every batch through it.
+//
 //   * StreamScheduler<P> — slices a query stream into batches of at most
 //     mesh-capacity queries under a BatchPolicy (FIFO, or locality-reorder:
 //     sort a window of queries by search key so key-adjacent queries share a
-//     batch), runs each batch on the warm engine, and reports per-batch and
-//     cumulative cost plus throughput metrics (queries/step, amortized setup
-//     fraction) into the trace layer. A resetup_every_batch mode re-charges
-//     the full setup before every batch — the naive baseline E8 compares
-//     against.
+//     batch), runs each batch through run_slice on the warm engine, and
+//     reports per-batch and cumulative cost in a StreamResult. Its counts
+//     are exported once, as stream.* gauges (record_stream_metrics); the
+//     per-batch wall latencies go to the stats registry as histograms. A
+//     resetup_every_batch mode re-charges the full setup before every batch
+//     — the naive baseline E8 compares against.
 //
 // Invalidation contract (DESIGN.md §5, decisions "Streaming batches" and
 // 16): the cache is valid as long as the graph, the mesh shape, and (for
@@ -267,10 +272,77 @@ struct StreamResult {
 /// Sum the per-batch reports into the cumulative fields of `res`.
 void finalize_stream(StreamResult& res);
 
-/// Record the stream throughput metrics (stream.batches, stream.queries,
+/// Record the stream metrics (stream.batches, stream.queries,
 /// stream.queries_per_step, stream.amortized_steps_per_query,
-/// stream.setup_fraction) into `rec`. Null `rec` is a no-op.
+/// stream.setup_fraction and the SLO counts stream.degraded_batches,
+/// stream.replans, stream.failed_queries) into `rec` as gauges — the one
+/// exported view of those counts. Null `rec` is a no-op.
 void record_stream_metrics(trace::TraceRecorder* rec, const StreamResult& res);
+
+namespace detail {
+inline double wall_us_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double, std::micro>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
+}
+}  // namespace detail
+
+/// How one slice attempt ended (run_slice).
+enum class SliceOutcome : std::uint8_t {
+  kDone,      ///< answered: the stream slice holds the results
+  kReslice,   ///< fault-exhausted: requeue the slice split at `capacity`
+  kDegraded,  ///< fault-exhausted at max_replans: report its queries failed
+};
+
+struct SliceAttempt {
+  SliceOutcome outcome = SliceOutcome::kDone;
+  BatchReport report;        ///< the engine's report (kDone only)
+  std::size_t capacity = 0;  ///< surviving capacity to re-slice at (kReslice)
+  double wall_us = 0;        ///< wall time of the attempt (observability)
+};
+
+/// Run `slice` of `stream` on `engine` (a PreparedSearch<P> or a type-erased
+/// service::Engine) whose fault plan is `fault` (null = none). The engine
+/// runs on a COPY of the slice in `scratch`, a buffer the caller reuses, so
+/// an attempt that throws leaves `stream` at its pre-batch checkpoint; only
+/// kDone writes back. On FaultExhaustedError the plan is degraded and the
+/// slice comes back as kReslice (at the surviving capacity) or, once
+/// slice.replans reaches max_replans, kDegraded — reported, never a silent
+/// wrong answer. With no plan, that error propagates like every other.
+/// Requeueing, setup attribution and clocks stay with the caller.
+template <typename Engine>
+SliceAttempt run_slice(Engine& engine, mesh::FaultPlan* fault,
+                       std::vector<Query>& stream, const PendingBatch& slice,
+                       std::vector<Query>& scratch) {
+  const auto begin = std::chrono::steady_clock::now();
+  SliceAttempt out;
+  scratch.clear();
+  scratch.reserve(slice.indices.size());
+  for (const auto idx : slice.indices) scratch.push_back(stream[idx]);
+  try {
+    // A fresh local, not out.report: GCC may build the return value in
+    // place in an assignment target, so a throw would leave half a report.
+    const BatchReport rep = engine.run_batch(scratch);
+    for (std::size_t k = 0; k < slice.indices.size(); ++k)
+      stream[slice.indices[k]] = scratch[k];
+    out.report = rep;
+  } catch (const mesh::FaultExhaustedError&) {
+    if (fault == nullptr) throw;
+    fault->degrade();
+    const auto max_replans =
+        static_cast<std::uint32_t>(std::max(0, fault->config().max_replans));
+    if (slice.replans < max_replans) {
+      fault->count_replanned_batch();
+      out.outcome = SliceOutcome::kReslice;
+      out.capacity = fault->effective_capacity(engine.capacity());
+    } else {
+      fault->count_degraded_batch();
+      out.outcome = SliceOutcome::kDegraded;
+    }
+  }
+  out.wall_us = detail::wall_us_since(begin);
+  return out;
+}
 
 template <SearchProgram P>
 class PreparedSearch {
@@ -597,13 +669,12 @@ class StreamScheduler {
   /// the engine's first; re-running on a warm engine charges no setup at
   /// all, which is the point.
   ///
-  /// Fault degradation: each batch runs on a COPY of its stream slice, so a
-  /// batch that throws FaultExhaustedError leaves the stream at its
-  /// pre-batch checkpoint for free. The scheduler then shrinks the fault
-  /// plan's surviving capacity, re-slices the batch onto it and requeues the
-  /// pieces; a batch that exhausts max_replans generations is reported
-  /// degraded (BatchReport.degraded, StreamResult::failed_queries) instead
-  /// of poisoning the stream — never a silent wrong answer.
+  /// Fault degradation (run_slice): a batch that exhausts its retry budget
+  /// leaves the stream at its pre-batch checkpoint, and its re-sliced
+  /// pieces are requeued at the BACK (the stream's batches are
+  /// independent); a batch that exhausts max_replans generations is
+  /// reported degraded (BatchReport.degraded, StreamResult::failed_queries)
+  /// instead of poisoning the stream — never a silent wrong answer.
   StreamResult run(std::vector<Query>& stream) {
     StreamResult res;
     res.queries = stream.size();
@@ -611,95 +682,57 @@ class StreamScheduler {
     // The scheduler traces into the same sink the engine charges through.
     trace::TraceRecorder* rec = engine_->model().trace;
     mesh::FaultPlan* fault = engine_->model().fault;
-    const std::uint32_t max_replans =
-        fault != nullptr
-            ? static_cast<std::uint32_t>(
-                  std::max(0, fault->config().max_replans))
-            : 0;
     TRACE_SPAN(rec, "stream");
     const bool cold = engine_->batches_served() == 0;
     std::size_t serial = 0;  ///< span numbering: one per attempt, run order
     bool setup_attributed = false;
-    std::vector<Query> batch;
+    std::vector<Query> scratch;
     // Wall-clock SLO instrumentation: queue wait = time between run() start
     // and the attempt beginning; latency = the attempt itself. Histograms
     // live on the result AND (via the recorder) in the StatsRegistry; they
     // never feed back into scheduling, so determinism is untouched.
     const auto wall_epoch = std::chrono::steady_clock::now();
-    const auto wall_us_since = [](std::chrono::steady_clock::time_point t0) {
-      return std::chrono::duration<double, std::micro>(
-                 std::chrono::steady_clock::now() - t0)
-          .count();
-    };
     while (!work.empty()) {
       PendingBatch cur = work.pop();
       trace::SpanScope batch_span(rec,
                                   "stream.batch " + std::to_string(serial));
       ++serial;
-      BatchReport rep;
-      rep.replans = cur.replans;
-      rep.queue_wait_us = wall_us_since(wall_epoch);
-      const auto attempt_begin = std::chrono::steady_clock::now();
-      // Cold setup rides on the first report actually emitted; a failed
-      // attempt whose report is discarded carries it to the next one.
+      const double queue_wait_us = detail::wall_us_since(wall_epoch);
+      // Cold setup rides on the first report actually emitted; a re-sliced
+      // attempt, whose report is discarded, carries it to the next one.
       const bool attribute_setup = cold && !resetup_every_batch_ &&
                                    !setup_attributed;
+      mesh::Cost setup;
       if (resetup_every_batch_) {
-        rep.setup = engine_->charge_setup();
+        setup = engine_->charge_setup();
       } else if (attribute_setup) {
-        rep.setup = engine_->setup_cost();  // attribution only, not a charge
+        setup = engine_->setup_cost();  // attribution only, not a charge
       }
-      batch.clear();
-      batch.reserve(cur.indices.size());
-      for (const auto idx : cur.indices) batch.push_back(stream[idx]);
-      try {
-        const BatchReport r = engine_->run_batch(batch);
-        rep.size = r.size;
-        rep.visits = r.visits;
-        rep.copies = r.copies;
-        rep.inject = r.inject;
-        rep.run = r.run;
-        for (std::size_t k = 0; k < cur.indices.size(); ++k)
-          stream[cur.indices[k]] = batch[k];
-        if (attribute_setup) setup_attributed = true;
-        rep.wall_us = wall_us_since(attempt_begin);
-        res.slo.batch_latency_us.observe(rep.wall_us);
-        res.slo.queue_wait_us.observe(rep.queue_wait_us);
-        if (rec != nullptr) {
-          rec->stat_observe("stream.batch_latency_us", rep.wall_us);
-          rec->stat_observe("stream.queue_wait_us", rep.queue_wait_us);
-          rec->stat_add("stream.batches_run");
-        }
-        res.batches.push_back(rep);
-      } catch (const mesh::FaultExhaustedError&) {
-        if (fault == nullptr) throw;  // not ours to recover
-        // `batch` was a copy — the stream still holds the checkpoint.
-        fault->degrade();
-        if (cur.replans < max_replans) {
-          fault->count_replanned_batch();
-          ++res.slo.replans;
-          if (rec != nullptr) rec->stat_add("stream.replans");
-          work.requeue_split_back(cur,
-                                  fault->effective_capacity(engine_->capacity()));
-        } else {
-          fault->count_degraded_batch();
-          rep.size = cur.indices.size();
-          rep.degraded = true;
-          res.failed_queries.insert(res.failed_queries.end(),
-                                    cur.indices.begin(), cur.indices.end());
-          if (attribute_setup) setup_attributed = true;
-          rep.wall_us = wall_us_since(attempt_begin);
-          res.slo.batch_latency_us.observe(rep.wall_us);
-          res.slo.queue_wait_us.observe(rep.queue_wait_us);
-          if (rec != nullptr) {
-            rec->stat_observe("stream.batch_latency_us", rep.wall_us);
-            rec->stat_observe("stream.queue_wait_us", rep.queue_wait_us);
-            rec->stat_add("stream.batches_run");
-            rec->stat_add("stream.degraded_batches");
-          }
-          res.batches.push_back(rep);
-        }
+      const SliceAttempt a = run_slice(*engine_, fault, stream, cur, scratch);
+      if (a.outcome == SliceOutcome::kReslice) {
+        ++res.slo.replans;
+        work.requeue_split_back(cur, a.capacity);
+        continue;
       }
+      BatchReport rep = a.report;
+      rep.setup = setup;
+      rep.replans = cur.replans;
+      rep.wall_us = a.wall_us;
+      rep.queue_wait_us = queue_wait_us;
+      if (a.outcome == SliceOutcome::kDegraded) {
+        rep.size = cur.indices.size();
+        rep.degraded = true;
+        res.failed_queries.insert(res.failed_queries.end(),
+                                  cur.indices.begin(), cur.indices.end());
+      }
+      if (attribute_setup) setup_attributed = true;
+      res.slo.batch_latency_us.observe(rep.wall_us);
+      res.slo.queue_wait_us.observe(rep.queue_wait_us);
+      if (rec != nullptr) {
+        rec->stat_observe("stream.batch_latency_us", rep.wall_us);
+        rec->stat_observe("stream.queue_wait_us", rep.queue_wait_us);
+      }
+      res.batches.push_back(rep);
     }
     finalize_stream(res);
     record_stream_metrics(rec, res);

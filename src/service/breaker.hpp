@@ -54,9 +54,8 @@ enum class BreakerState : std::uint8_t {
 
 const char* breaker_state_name(BreakerState s);
 
-/// Deterministic counters, exported as service.breaker.<engine>.* by
-/// ServiceScheduler::export_metrics and mirrored into the stats registry at
-/// transition time.
+/// Deterministic counters, exported as service.breaker.<engine>.* gauges by
+/// ServiceScheduler::export_metrics.
 struct BreakerCounters {
   std::uint64_t trips = 0;        ///< closed/half-open -> open transitions
   std::uint64_t probes = 0;       ///< half-open probe batches dispatched

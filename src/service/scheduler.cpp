@@ -1,7 +1,6 @@
 #include "service/scheduler.hpp"
 
 #include <algorithm>
-#include <chrono>
 
 #include "multisearch/validate.hpp"
 #include "util/check.hpp"
@@ -9,12 +8,6 @@
 namespace meshsearch::service {
 
 namespace {
-
-double wall_us_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double, std::micro>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
-}
 
 /// Metric identity of an engine's breaker: "dataset/kind" as in
 /// engine_key_name (the scheduler has the Engine, not its registry key, but
@@ -149,8 +142,6 @@ std::size_t ServiceScheduler::shed_expired(TenantSession& t) {
   // p99 target of deadline + one-batch-margin provably satisfiable.
   for (const auto idx : expired)
     resolve(t, idx, QueryState::kShed, clock_, /*dispatched=*/false);
-  if (trace_ != nullptr)
-    trace_->stat_add(trace::tenant_metric(t.name_, "shed"), expired.size());
   return expired.size();
 }
 
@@ -208,21 +199,12 @@ ServiceScheduler::ServeOutcome ServiceScheduler::serve_slice(
     try {
       breaker.admit(round_, engine.dataset(),
                     msearch::engine_kind_name(engine.kind()));
-      if (breaker.state() == BreakerState::kHalfOpen && trace_ != nullptr)
-        trace_->stat_add(trace::breaker_metric(breaker_id(engine), "probes"));
     } catch (const CircuitOpenError&) {
       // Fail fast: reported failed with ZERO charge — no engine work, no
       // retry-budget burn, no clock advance. Still never silent: every
       // ticket flips to kFailed and the completion callback fires.
       breaker.count_fail_fast(cur.indices.size());
       t.failed_fast_ += cur.indices.size();
-      if (trace_ != nullptr) {
-        trace_->stat_add(trace::breaker_metric(breaker_id(engine),
-                                               "fail_fast_queries"),
-                         cur.indices.size());
-        trace_->stat_add(trace::tenant_metric(t.name_, "failed_fast"),
-                         cur.indices.size());
-      }
       for (const auto idx : cur.indices)
         resolve(t, idx, QueryState::kFailed, clock_, /*dispatched=*/false);
       out.resolved += cur.indices.size();
@@ -235,71 +217,39 @@ ServiceScheduler::ServeOutcome ServiceScheduler::serve_slice(
   trace::SpanScope span(trace_, "service.batch " + std::to_string(serial_));
   ++serial_;
   const double attempt_start = clock_;
-  const auto wall_begin = std::chrono::steady_clock::now();
-  // The engine runs on a COPY of the tenant's slice: a fault-exhausted
-  // attempt leaves every query at its pre-batch checkpoint for free.
-  std::vector<msearch::Query> batch;
-  batch.reserve(cur.indices.size());
-  for (const auto idx : cur.indices) batch.push_back(t.stream_[idx]);
-  try {
-    const msearch::BatchReport rep = engine.run_batch(batch);
-    clock_ += (rep.inject + rep.run).steps;
-    t.inject_ += rep.inject;
-    t.run_ += rep.run;
-    ++t.batches_;
-    if (breaker.record_success() && trace_ != nullptr)
-      trace_->stat_add(trace::breaker_metric(breaker_id(engine),
-                                             "recoveries"));
-    const double wall = wall_us_since(wall_begin);
-    t.batch_latency_us_.observe(wall);
-    if (trace_ != nullptr) {
-      trace_->stat_observe(trace::tenant_metric(t.name_, "batch_latency_us"),
-                           wall);
-      trace_->stat_add(trace::tenant_metric(t.name_, "batches_run"));
-    }
-    for (std::size_t k = 0; k < cur.indices.size(); ++k) {
-      t.stream_[cur.indices[k]] = batch[k];
-      resolve(t, cur.indices[k], QueryState::kDone, attempt_start,
-              /*dispatched=*/true);
-    }
-    out.resolved += cur.indices.size();
-  } catch (const mesh::FaultExhaustedError&) {
-    if (t.fault_ == nullptr) throw;  // not ours to recover
+  const msearch::SliceAttempt a =
+      msearch::run_slice(engine, t.fault_, t.stream_, cur, scratch_);
+  if (a.outcome == msearch::SliceOutcome::kReslice) {
     out.faulted = true;
-    if (breaker.record_failure(round_) && trace_ != nullptr)
-      trace_->stat_add(trace::breaker_metric(breaker_id(engine), "trips"));
-    t.fault_->degrade();
-    const auto max_replans = static_cast<std::uint32_t>(
-        std::max(0, t.fault_->config().max_replans));
-    if (cur.replans < max_replans) {
-      t.fault_->count_replanned_batch();
-      ++t.replans_;
-      if (trace_ != nullptr)
-        trace_->stat_add(trace::tenant_metric(t.name_, "replans"));
-      // Front, not back: the tenant's own later arrivals must not overtake
-      // its failed queries.
-      t.queue_.requeue_split_front(
-          cur, t.fault_->effective_capacity(engine.capacity()));
-    } else {
-      t.fault_->count_degraded_batch();
-      ++t.degraded_batches_;
-      ++t.batches_;
-      const double wall = wall_us_since(wall_begin);
-      t.batch_latency_us_.observe(wall);
-      if (trace_ != nullptr) {
-        trace_->stat_observe(trace::tenant_metric(t.name_, "batch_latency_us"),
-                             wall);
-        trace_->stat_add(trace::tenant_metric(t.name_, "batches_run"));
-        trace_->stat_add(trace::tenant_metric(t.name_, "degraded_batches"));
-      }
-      // Reported failed, never silently wrong: the tickets stay at their
-      // checkpoint state and flip to kFailed.
-      for (const auto idx : cur.indices)
-        resolve(t, idx, QueryState::kFailed, attempt_start,
-                /*dispatched=*/true);
-      out.resolved += cur.indices.size();
-    }
+    breaker.record_failure(round_);
+    ++t.replans_;
+    // Front, not back: the tenant's own later arrivals must not overtake
+    // its failed queries.
+    t.queue_.requeue_split_front(cur, a.capacity);
+    return out;
   }
+  ++t.batches_;
+  t.batch_latency_us_.observe(a.wall_us);
+  if (trace_ != nullptr)
+    trace_->stat_observe(trace::tenant_metric(t.name_, "batch_latency_us"),
+                         a.wall_us);
+  QueryState state = QueryState::kDone;
+  if (a.outcome == msearch::SliceOutcome::kDone) {
+    clock_ += (a.report.inject + a.report.run).steps;
+    t.inject_ += a.report.inject;
+    t.run_ += a.report.run;
+    breaker.record_success();
+  } else {
+    // Reported failed, never silently wrong: the tickets stay at their
+    // checkpoint state and flip to kFailed.
+    out.faulted = true;
+    breaker.record_failure(round_);
+    ++t.degraded_batches_;
+    state = QueryState::kFailed;
+  }
+  for (const auto idx : cur.indices)
+    resolve(t, idx, state, attempt_start, /*dispatched=*/true);
+  out.resolved += cur.indices.size();
   return out;
 }
 
@@ -325,8 +275,6 @@ void ServiceScheduler::apply_ready_updates(TenantSession& t) {
       t.fault_->degrade();
       t.fault_->count_degraded_batch();
       ++t.degraded_refreshes_;
-      if (trace_ != nullptr)
-        trace_->stat_add(trace::tenant_metric(t.name_, "degraded_refreshes"));
       engine.bind_sinks(trace_, nullptr);
       rep = engine.refresh(req);
     }
@@ -337,12 +285,6 @@ void ServiceScheduler::apply_ready_updates(TenantSession& t) {
       ++t.incremental_refreshes_;
     else
       ++t.full_refreshes_;
-    if (trace_ != nullptr) {
-      trace_->stat_add(trace::tenant_metric(t.name_, "updates_applied"));
-      trace_->stat_add(trace::tenant_metric(
-          t.name_, rep.incremental ? "incremental_refreshes"
-                                   : "full_refreshes"));
-    }
   }
 }
 
@@ -357,10 +299,7 @@ std::size_t ServiceScheduler::pump() {
     std::size_t backlog = 0;
     for (const auto& t : tenants_) backlog += t->queue_.pending_queries();
     brownout = backlog > cfg_.brownout.watermark_queries;
-    if (brownout) {
-      ++brownout_rounds_;
-      if (trace_ != nullptr) trace_->stat_add("service.brownout.rounds");
-    }
+    if (brownout) ++brownout_rounds_;
   }
   std::size_t resolved = 0;
   for (std::size_t i = 0; i < tenants_.size(); ++i) {
@@ -385,23 +324,16 @@ std::size_t ServiceScheduler::pump() {
       continue;
     }
     std::size_t quantum = quantum_for(t);
-    std::size_t cap_limit = t.slice_cap();
     if (brownout && over_target(t)) {
       // Over-target tenants yield: scaled quantum (floored at 1) shifts
       // this round's service toward tenants still inside their targets.
-      quantum = scale_count(quantum, cfg_.brownout.quantum_scale);
-      if (cfg_.brownout.capacity_scale < 1.0)
-        cap_limit = scale_count(cap_limit, cfg_.brownout.capacity_scale);
+      quantum = scale_count(quantum, kBrownoutQuantumScale);
       ++t.brownout_deprioritized_;
-      if (trace_ != nullptr)
-        trace_->stat_add(
-            trace::tenant_metric(t.name_, "brownout_deprioritized"));
     }
     deficit_[i] += static_cast<double>(quantum);
     while (!t.queue_.empty() && deficit_[i] >= 1.0) {
-      const std::size_t window =
-          std::min({cap_limit, t.slice_cap(),
-                    static_cast<std::size_t>(deficit_[i])});
+      const std::size_t window = std::min(
+          t.slice_cap(), static_cast<std::size_t>(deficit_[i]));
       const ServeOutcome out = serve_slice(t, window);
       deficit_[i] -= static_cast<double>(out.taken);
       resolved += out.resolved;
@@ -459,6 +391,8 @@ void ServiceScheduler::export_metrics() const {
     metric(t, "incremental_refreshes",
            static_cast<double>(t.incremental_refreshes_));
     metric(t, "full_refreshes", static_cast<double>(t.full_refreshes_));
+    metric(t, "degraded_refreshes",
+           static_cast<double>(t.degraded_refreshes_));
     metric(t, "refresh_steps", t.refresh_.steps);
     metric(t, "charged_steps", (t.inject_ + t.run_ + t.refresh_).steps);
     if (t.fault_ != nullptr)

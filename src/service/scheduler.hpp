@@ -31,13 +31,21 @@
 // which is what keeps the repo's 1-vs-8-thread bit-identity contract intact
 // here for free.
 //
-// Fault handling follows StreamScheduler's degradation contract per tenant:
-// a batch that exhausts its retry budget shrinks ONLY that tenant's
-// surviving capacity, its pieces are requeued at the FRONT of that tenant's
-// queue (a tenant's earlier queries must not be overtaken by its later
-// ones), and the tenant's turn ends so co-resident tenants are not taxed by
-// its retries. After max_replans generations the piece is reported failed
+// Every slice runs through msearch::run_slice, the slice executor
+// StreamScheduler uses too (checkpoint copy, run_batch, write-back, fault
+// degradation). serve_slice keeps only what is the service's own: the
+// virtual clock, the breaker, ticket resolution, and the requeue order. A
+// batch that exhausts its retry budget shrinks ONLY that tenant's surviving
+// capacity, its pieces are requeued at the FRONT of that tenant's queue (a
+// tenant's earlier queries must not be overtaken by its later ones), and
+// the tenant's turn ends so co-resident tenants are not taxed by its
+// retries. After max_replans generations the piece is reported failed
 // (kFailed tickets, TenantReport::failed_queries) — never silently wrong.
+//
+// Counts live in one place each: TenantSession fields, breaker counters and
+// the scheduler's round counters. export_metrics() publishes them as
+// gauges; only wall-clock histograms (per-tenant batch latency, span wall
+// times) go to the stats registry as they happen.
 //
 // Overload protection (DESIGN.md decision 17) composes four mechanisms, all
 // decided on the SAME virtual clock / round counter so every shed, reject,
@@ -59,8 +67,8 @@
 //     (failed_fast) with zero charge.
 //   * brownout — when the aggregate pending backlog exceeds
 //     BrownoutPolicy::watermark_queries, tenants whose OBSERVED latency p99
-//     exceeds their own p99_target_steps lose DRR quantum (and optionally
-//     slice capacity) for the round, shifting service toward tenants still
+//     exceeds their own p99_target_steps keep only kBrownoutQuantumScale of
+//     their DRR quantum for the round, shifting service toward tenants still
 //     inside their targets. DRR-only: the exhaustive baseline stays unfair
 //     on purpose.
 #pragma once
@@ -70,6 +78,7 @@
 #include <string>
 #include <vector>
 
+#include "multisearch/types.hpp"
 #include "service/tenant.hpp"
 
 namespace meshsearch::service {
@@ -81,19 +90,16 @@ enum class SchedulePolicy : std::uint8_t {
 
 const char* schedule_policy_name(SchedulePolicy p);
 
+/// Share of its DRR quantum an over-target tenant keeps in a brownout round
+/// (floored at 1 query so no tenant is fully starved).
+inline constexpr double kBrownoutQuantumScale = 0.25;
+
 /// Service-wide brownout (graceful degradation) policy. Disabled by default
 /// (watermark 0). Applies to kDeficitRoundRobin only.
 struct BrownoutPolicy {
   /// Aggregate pending queries (all tenants) above which a pump() round
   /// runs in brownout. 0 = never.
   std::size_t watermark_queries = 0;
-  /// Multiplier on an over-target tenant's DRR quantum during brownout
-  /// (floored at 1 query so no tenant is fully starved).
-  double quantum_scale = 0.25;
-  /// Multiplier on an over-target tenant's slice capacity during brownout;
-  /// 1.0 = no batch shrink (the default — smaller batches also lose batch
-  /// efficiency, so this is opt-in).
-  double capacity_scale = 1.0;
 };
 
 struct ServiceConfig {
@@ -164,8 +170,10 @@ class ServiceScheduler {
 
   /// Record per-tenant metrics (tenant.<name>.* — deterministic counts and
   /// charges only) plus each armed fault plan's tenant.<name>.fault.*
-  /// family and service-level totals into the scheduler's trace recorder.
-  /// No-op without a recorder.
+  /// family, each armed breaker's service.breaker.<engine>.* counters and
+  /// service-level totals into the scheduler's trace recorder, as gauges —
+  /// the one exported view of every service count. No-op without a
+  /// recorder.
   void export_metrics() const;
 
  private:
@@ -175,8 +183,8 @@ class ServiceScheduler {
     bool faulted = false;      ///< attempt threw FaultExhaustedError
   };
 
-  /// Pop one slice of at most `window` queries off `t`'s queue and run it,
-  /// handling fault degradation per the tenant's plan.
+  /// Pop one slice of at most `window` queries off `t`'s queue and run it
+  /// through msearch::run_slice under the tenant's fault plan.
   ServeOutcome serve_slice(TenantSession& t, std::size_t window);
 
   /// Apply every ready update of `t` (in submission order): run the
@@ -213,6 +221,7 @@ class ServiceScheduler {
   std::size_t serial_ = 0;       ///< batch span numbering, attempt order
   std::uint64_t round_ = 0;      ///< pump() rounds; the breaker probe clock
   std::uint64_t brownout_rounds_ = 0;
+  std::vector<msearch::Query> scratch_;  ///< run_slice's reused slice copy
 };
 
 }  // namespace meshsearch::service

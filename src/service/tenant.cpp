@@ -130,10 +130,9 @@ const msearch::Query& TenantSession::result(Ticket t) const {
 }
 
 std::size_t TenantSession::slice_cap() const {
-  std::size_t cap = engine_->capacity();
-  if (quota_.max_batch != 0) cap = std::min(cap, quota_.max_batch);
+  const std::size_t cap = engine_->capacity();
   if (fault_ != nullptr && fault_->armed())
-    cap = fault_->effective_capacity(cap);
+    return fault_->effective_capacity(cap);
   return std::max<std::size_t>(1, cap);
 }
 

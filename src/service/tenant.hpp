@@ -80,10 +80,6 @@ struct TenantQuota {
   /// Queued + running queries the tenant may have in flight. A submit that
   /// would exceed this is rejected whole with CapacityError.
   std::size_t max_outstanding = 1024;
-  /// Per-slice cap on queries handed to the engine in one batch; 0 = the
-  /// engine's mesh capacity. Always additionally clamped to capacity (and
-  /// to the fault plan's surviving capacity when one is armed).
-  std::size_t max_batch = 0;
   /// Deficit-round-robin weight: a weight-w tenant earns w quanta per round.
   std::uint32_t weight = 1;
 };
@@ -238,8 +234,7 @@ class TenantSession {
   };
 
   /// Largest slice the scheduler may hand the engine right now: mesh
-  /// capacity, clamped by quota.max_batch and the fault plan's surviving
-  /// capacity.
+  /// capacity, clamped to the fault plan's surviving capacity.
   std::size_t slice_cap() const;
 
   /// The next unapplied update exists and its barrier has resolved.

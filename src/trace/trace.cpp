@@ -112,12 +112,6 @@ std::vector<Metric> TraceRecorder::metrics() const {
   return out;
 }
 
-void TraceRecorder::stat_add(std::string_view name, std::uint64_t delta) {
-  stats_.add(name, delta);
-  auto& g = stats::StatsRegistry::global();
-  if (g.enabled()) g.add(name, delta);
-}
-
 void TraceRecorder::stat_observe(std::string_view name, double value_us) {
   stats_.observe(name, value_us);
   auto& g = stats::StatsRegistry::global();

@@ -171,9 +171,8 @@ class TraceRecorder {
   stats::StatsRegistry& stats() { return stats_; }
   const stats::StatsRegistry& stats() const { return stats_; }
 
-  /// Fan-out conveniences: update this recorder's registry and mirror to
-  /// the process-global registry when it is enabled (MESHSEARCH_STATS=1).
-  void stat_add(std::string_view name, std::uint64_t delta = 1);
+  /// Fan-out convenience: observe into this recorder's registry and mirror
+  /// to the process-global registry when it is enabled (MESHSEARCH_STATS=1).
   void stat_observe(std::string_view name, double value_us);
 
  private:

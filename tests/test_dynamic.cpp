@@ -827,7 +827,8 @@ TEST(ServiceUpdates, FaultExhaustedRefreshDegradesAndStillApplies) {
   auto engine = service::make_partitioned_engine(
       EngineKind::kAlg2Alpha, tree.graph(), tree.alpha_splitting(),
       tree.alpha_splitting(), tree.rank_count(), m, shape);
-  service::ServiceScheduler svc;
+  trace::TraceRecorder rec("service");
+  service::ServiceScheduler svc({}, &rec);
   service::TenantQuota quota;
   quota.max_outstanding = 4 * shape.size();
   service::TenantSession& t = svc.add_tenant("acme", *engine, quota);
@@ -849,6 +850,12 @@ TEST(ServiceUpdates, FaultExhaustedRefreshDegradesAndStillApplies) {
   const service::TenantReport rep = t.report();
   EXPECT_EQ(rep.degraded_refreshes, 1u);
   EXPECT_EQ(rep.incremental_refreshes, 1u);
+  // The count's one exported view is its gauge.
+  svc.export_metrics();
+  std::map<std::string, double> metrics;
+  for (const auto& mt : rec.metrics()) metrics[mt.name] = mt.value;
+  ASSERT_EQ(metrics.count("tenant.acme.degraded_refreshes"), 1u);
+  EXPECT_EQ(metrics.at("tenant.acme.degraded_refreshes"), 1.0);
 
   // And the engine serves the mutated structure correctly afterwards.
   t.set_fault(nullptr);

@@ -15,10 +15,12 @@
 //      but the delivered data is bit-identical to the fault-free run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "datastruct/kary_tree.hpp"
@@ -545,6 +547,82 @@ TEST(FaultStream, ExhaustedRetriesDegradeReplanAndReport) {
   EXPECT_LT(s.capacity_factor, 1.0);
 }
 
+/// Sorted positions folded into half-open [lo, hi) runs: a compact, exact
+/// form of a failed-query set for pinning.
+std::vector<std::pair<std::uint32_t, std::uint32_t>> as_runs(
+    std::vector<std::uint32_t> idx) {
+  std::sort(idx.begin(), idx.end());
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> runs;
+  for (const auto i : idx) {
+    if (!runs.empty() && runs.back().second == i)
+      ++runs.back().second;
+    else
+      runs.emplace_back(i, i + 1);
+  }
+  return runs;
+}
+
+/// The plan counters a mixed-outcome pin compares.
+struct PlanPin {
+  std::uint64_t phase_failures, exhausted, replanned, degraded;
+  double backoff_steps, capacity_factor;
+};
+
+void expect_plan(const mesh::FaultPlan& plan, const PlanPin& want) {
+  const auto s = plan.stats();
+  EXPECT_EQ(s.phase_failures, want.phase_failures);
+  EXPECT_EQ(s.exhausted, want.exhausted);
+  EXPECT_EQ(s.replanned_batches, want.replanned);
+  EXPECT_EQ(s.degraded_batches, want.degraded);
+  EXPECT_EQ(s.backoff_steps, want.backoff_steps);
+  EXPECT_EQ(s.capacity_factor, want.capacity_factor);
+}
+
+/// A plan under which one run has done, re-sliced AND degraded slices: no
+/// phase retries, so any failed phase exhausts its batch.
+mesh::FaultConfig mixed_outcome_config() {
+  mesh::FaultConfig cfg;
+  cfg.seed = 1;
+  cfg.p_phase = 0.05;
+  cfg.max_retries = 0;
+  return cfg;
+}
+
+TEST(FaultStream, MixedOutcomeRunIsPinned) {
+  const Alg2Fixture fx;
+  auto stream = fx.stream(4 * fx.shape.size() + 9, 77);
+  auto oracle = stream;
+  sequential_multisearch(fx.tree.graph(), fx.tree.rank_count(), oracle);
+  const auto pristine = outcomes(stream);
+  mesh::FaultPlan plan(mixed_outcome_config());
+  mesh::CostModel m;
+  m.fault = &plan;
+  PreparedSearch engine(EngineKind::kAlg2Alpha, fx.tree.graph(),
+                        fx.tree.alpha_splitting(), fx.tree.alpha_splitting(),
+                        fx.tree.rank_count(), m, fx.shape);
+  StreamScheduler sched(engine, BatchPolicy{});
+  const auto res = sched.run(stream);
+
+  std::size_t done = 0;
+  for (const auto& b : res.batches) done += b.degraded ? 0 : 1;
+  EXPECT_EQ(res.batches.size(), 43u);
+  EXPECT_EQ(done, 40u);
+  EXPECT_EQ(res.slo.replans, 8u);
+  EXPECT_EQ(res.slo.degraded_batches, 3u);
+  EXPECT_EQ(res.total().steps, 406976.0);
+  const std::vector<std::pair<std::uint32_t, std::uint32_t>> failed_runs =
+      {{832, 896}, {4416, 4448}, {6752, 6768}};
+  EXPECT_EQ(as_runs(res.failed_queries), failed_runs);
+  expect_plan(plan, PlanPin{11, 11, 8, 3, 0.0, 0.00048828125});
+
+  // Failed positions keep their checkpoint; every other one is answered.
+  std::vector<bool> failed(stream.size(), false);
+  for (const auto i : res.failed_queries) failed[i] = true;
+  const auto got = outcomes(stream), want = outcomes(oracle);
+  for (std::size_t i = 0; i < stream.size(); ++i)
+    EXPECT_EQ(got[i], failed[i] ? pristine[i] : want[i]) << "position " << i;
+}
+
 TEST(FaultStream, FaultMetricsExportedOnlyWhenArmed) {
   const Alg3Fixture fx;
   auto run = [&](double p_phase) {
@@ -899,6 +977,48 @@ TEST(FaultService, FaultPlanOnOneTenantIsolatesCoResidents) {
   EXPECT_EQ(diff_outcomes(faulted.clean_out, reference.clean_out), "");
   EXPECT_EQ(faulted.clean_rep.charged().steps,
             reference.clean_rep.charged().steps);
+}
+
+TEST(FaultService, MixedOutcomeRunIsPinned) {
+  const Alg2Fixture fx;
+  const std::size_t cap = fx.shape.size();
+  const auto qs = fx.stream(cap + 9, 77);
+  auto oracle = qs;
+  sequential_multisearch(fx.tree.graph(), fx.tree.rank_count(), oracle);
+  mesh::FaultPlan plan(mixed_outcome_config());
+  const mesh::CostModel m;
+  auto engine = service::make_partitioned_engine(
+      EngineKind::kAlg2Alpha, fx.tree.graph(), fx.tree.alpha_splitting(),
+      fx.tree.alpha_splitting(), fx.tree.rank_count(), m, fx.shape);
+  service::ServiceScheduler svc;
+  service::TenantQuota quota;
+  quota.max_outstanding = 8 * cap;
+  service::TenantSession& t = svc.add_tenant("solo", *engine, quota);
+  t.set_fault(&plan);
+  const auto sub = t.submit(qs);
+  svc.run_until_idle();
+
+  const service::TenantReport rep = t.report();
+  EXPECT_EQ(rep.batches, 7u);
+  EXPECT_EQ(rep.replans, 4u);
+  EXPECT_EQ(rep.degraded_batches, 1u);
+  EXPECT_EQ(rep.completed + rep.failed_queries, qs.size());
+  EXPECT_EQ(rep.charged().steps, 60864.0);
+  EXPECT_EQ(svc.now_steps(), 60864.0);
+  std::vector<std::uint32_t> failed;
+  for (auto k = sub.first; k < sub.first + sub.count; ++k) {
+    const Query& q = t.result(k);
+    if (t.poll(k) == service::QueryState::kFailed) {
+      failed.push_back(static_cast<std::uint32_t>(k));
+      EXPECT_EQ(outcomes({q})[0], outcomes({qs[k]})[0]) << "ticket " << k;
+    } else {
+      EXPECT_EQ(outcomes({q})[0], outcomes({oracle[k]})[0]) << "ticket " << k;
+    }
+  }
+  const std::vector<std::pair<std::uint32_t, std::uint32_t>> failed_runs =
+      {{3840, 4096}};
+  EXPECT_EQ(as_runs(failed), failed_runs);
+  expect_plan(plan, PlanPin{5, 5, 4, 1, 0.0, 0.03125});
 }
 
 TEST(FaultService, PerTenantFaultMetricsLandUnderTenantNamespace) {

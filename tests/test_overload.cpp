@@ -450,7 +450,6 @@ TEST(Overload, BrownoutDeprioritizesOverTargetTenantOnly) {
 
   ServiceConfig cfg;
   cfg.brownout.watermark_queries = cap;  // any real backlog is "over"
-  cfg.brownout.quantum_scale = 0.25;
   ServiceScheduler svc(cfg);
   TenantQuota quota;
   quota.max_outstanding = 1u << 20;

@@ -9,16 +9,19 @@
 #include <map>
 #include <sstream>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "datastruct/kary_tree.hpp"
 #include "datastruct/workloads.hpp"
+#include "mesh/fault.hpp"
 #include "multisearch/query.hpp"
 #include "multisearch/sequential.hpp"
 #include "multisearch/setup.hpp"
 #include "multisearch/stream.hpp"
 #include "trace/export.hpp"
 #include "trace/trace.hpp"
+#include "util/error.hpp"
 #include "util/parallel_for.hpp"
 #include "util/rng.hpp"
 
@@ -954,6 +957,158 @@ TEST(StreamQueue, RequeueSplitBackAppendsAfterPendingWork) {
   EXPECT_EQ(p1.replans, 3u);
   EXPECT_EQ(p2.replans, 3u);
   EXPECT_TRUE(src.empty());
+}
+
+// ---------------------------------------------------------------------------
+// run_slice: the one slice executor behind StreamScheduler and the service
+// scheduler. A scripted engine drives each outcome; one real engine checks
+// the re-slice capacity under a plan where every phase fails.
+// ---------------------------------------------------------------------------
+
+/// Answers every query of a batch (result = 1000 + qid), then throws if
+/// scripted to. It fills part of its report before throwing, so a report
+/// leaking out of a failed attempt would show.
+struct ScriptedEngine {
+  enum class Fail { kNone, kFaultExhausted, kStale };
+  std::size_t cap = 64;
+  Fail fail = Fail::kNone;
+
+  std::size_t capacity() const { return cap; }
+  BatchReport run_batch(std::vector<Query>& batch) {
+    BatchReport rep;
+    rep.size = batch.size();
+    rep.inject = mesh::Cost(7);
+    for (auto& q : batch) {
+      q.result = 1000 + q.qid;
+      ++q.steps;
+    }
+    if (fail == Fail::kFaultExhausted)
+      throw mesh::FaultExhaustedError("scripted");
+    if (fail == Fail::kStale) throw StaleEngineError("scripted", 2, 1);
+    rep.run = mesh::Cost(11);
+    return rep;
+  }
+};
+
+mesh::FaultConfig failing_config() {
+  mesh::FaultConfig cfg;
+  cfg.seed = 5;
+  cfg.p_phase = 1.0;
+  return cfg;
+}
+
+PendingBatch slice_of(std::vector<std::uint32_t> indices,
+                      std::uint32_t replans = 0) {
+  PendingBatch b;
+  b.indices = std::move(indices);
+  b.replans = replans;
+  return b;
+}
+
+TEST(StreamSlice, DoneWritesTheSliceBack) {
+  ScriptedEngine engine;
+  auto stream = make_queries(10);
+  const auto before = outcomes(stream);
+  std::vector<Query> scratch;
+  const SliceAttempt a =
+      run_slice(engine, nullptr, stream, slice_of({2, 5, 7}), scratch);
+  EXPECT_EQ(a.outcome, SliceOutcome::kDone);
+  EXPECT_EQ(a.report.size, 3u);
+  EXPECT_EQ(a.report.inject.steps, 7.0);
+  EXPECT_EQ(a.report.run.steps, 11.0);
+  EXPECT_GE(a.wall_us, 0.0);
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    const bool in_slice = i == 2 || i == 5 || i == 7;
+    EXPECT_EQ(stream[i].result,
+              in_slice ? 1000 + static_cast<std::int32_t>(i)
+                       : before[i].result)
+        << "position " << i;
+  }
+}
+
+TEST(StreamSlice, ResliceLeavesTheCheckpointAndUsesSurvivingCapacity) {
+  ScriptedEngine engine;
+  engine.fail = ScriptedEngine::Fail::kFaultExhausted;
+  mesh::FaultPlan plan(failing_config());
+  auto stream = make_queries(10);
+  const auto checkpoint = outcomes(stream);
+  std::vector<Query> scratch;
+  const SliceAttempt a =
+      run_slice(engine, &plan, stream, slice_of({0, 1, 2, 3}), scratch);
+  EXPECT_EQ(a.outcome, SliceOutcome::kReslice);
+  EXPECT_EQ(diff_outcomes(outcomes(stream), checkpoint), "");
+  EXPECT_EQ(a.capacity, plan.effective_capacity(engine.capacity()));
+  EXPECT_EQ(a.capacity, engine.capacity() / 2);  // one degrade at 0.5
+  EXPECT_EQ(a.report.inject.steps, 0.0);  // nothing of the failed attempt
+  EXPECT_EQ(plan.stats().replanned_batches, 1u);
+  EXPECT_EQ(plan.stats().degraded_batches, 0u);
+}
+
+TEST(StreamSlice, AtMaxReplansReportsDegraded) {
+  ScriptedEngine engine;
+  engine.fail = ScriptedEngine::Fail::kFaultExhausted;
+  mesh::FaultPlan plan(failing_config());
+  const auto max_replans =
+      static_cast<std::uint32_t>(plan.config().max_replans);
+  auto stream = make_queries(10);
+  const auto checkpoint = outcomes(stream);
+  std::vector<Query> scratch;
+  const SliceAttempt a = run_slice(engine, &plan, stream,
+                                   slice_of({4, 5}, max_replans), scratch);
+  EXPECT_EQ(a.outcome, SliceOutcome::kDegraded);
+  EXPECT_EQ(diff_outcomes(outcomes(stream), checkpoint), "");
+  EXPECT_EQ(a.report.inject.steps, 0.0);
+  EXPECT_EQ(plan.stats().degraded_batches, 1u);
+  EXPECT_EQ(plan.stats().replanned_batches, 0u);
+  EXPECT_LT(plan.stats().capacity_factor, 1.0);  // degraded all the same
+}
+
+TEST(StreamSlice, FaultExhaustedWithoutAPlanPropagates) {
+  ScriptedEngine engine;
+  engine.fail = ScriptedEngine::Fail::kFaultExhausted;
+  auto stream = make_queries(10);
+  const auto checkpoint = outcomes(stream);
+  std::vector<Query> scratch;
+  EXPECT_THROW(run_slice(engine, nullptr, stream, slice_of({1, 2}), scratch),
+               mesh::FaultExhaustedError);
+  EXPECT_EQ(diff_outcomes(outcomes(stream), checkpoint), "");
+}
+
+TEST(StreamSlice, OtherErrorsPropagateAndLeaveTheStreamUntouched) {
+  ScriptedEngine engine;
+  engine.fail = ScriptedEngine::Fail::kStale;
+  mesh::FaultPlan plan(failing_config());
+  auto stream = make_queries(10);
+  const auto checkpoint = outcomes(stream);
+  std::vector<Query> scratch;
+  EXPECT_THROW(run_slice(engine, &plan, stream, slice_of({1, 2}), scratch),
+               StaleEngineError);
+  EXPECT_EQ(diff_outcomes(outcomes(stream), checkpoint), "");
+  // Not a fault: the plan is neither degraded nor counted.
+  EXPECT_EQ(plan.stats().capacity_factor, 1.0);
+  EXPECT_EQ(plan.stats().replanned_batches, 0u);
+  EXPECT_EQ(plan.stats().degraded_batches, 0u);
+}
+
+TEST(StreamSlice, RealEngineResliceCapacityIsTheSurvivingCapacity) {
+  const Alg2Fixture fx;
+  mesh::FaultPlan plan(failing_config());
+  mesh::CostModel m;
+  m.fault = &plan;
+  PreparedSearch engine(EngineKind::kAlg2Alpha, fx.tree.graph(),
+                        fx.tree.alpha_splitting(), fx.tree.alpha_splitting(),
+                        fx.tree.rank_count(), m, fx.shape);
+  auto stream = fx.stream(16);
+  const auto checkpoint = outcomes(stream);
+  std::vector<std::uint32_t> all(stream.size());
+  for (std::uint32_t i = 0; i < all.size(); ++i) all[i] = i;
+  std::vector<Query> scratch;
+  const SliceAttempt a =
+      run_slice(engine, &plan, stream, slice_of(all), scratch);
+  EXPECT_EQ(a.outcome, SliceOutcome::kReslice);
+  EXPECT_EQ(a.capacity, plan.effective_capacity(engine.capacity()));
+  EXPECT_LT(a.capacity, engine.capacity());
+  EXPECT_EQ(diff_outcomes(outcomes(stream), checkpoint), "");
 }
 
 }  // namespace
