@@ -172,8 +172,9 @@ class BenchReport {
     wall_[it->second].second.observe(us);
   }
 
-  /// Copy every wall-clock histogram a recorder accumulated (phase spans,
-  /// stream latency/queue-wait) into the report, merging repeats by name.
+  /// Copy every wall-clock histogram a recorder accumulated (one per span
+  /// name, the per-batch stream.batch / service.batch spans among them) into
+  /// the report, merging repeats by name.
   void add_wall_from(const trace::TraceRecorder& rec) {
     for (const auto& h : rec.stats().snapshot().histograms) {
       auto it = wall_index_.find(h.name);

@@ -9,13 +9,13 @@
 // catches meshsearch::Error (or a subclass), not raw std::logic_error.
 //
 // With MESHSEARCH_STATS=1 the wrapper additionally prints a one-screen
-// summary of the process-wide stats registry on exit (top counters, gauges,
-// wall-clock histograms, and — when the example ran a stream — the SLO
-// line). Every TraceRecorder mirrors its counters/histograms/metrics into
-// that registry, so the summary needs no wiring inside the example.
+// summary of the process-wide stats registry on exit (wall-clock span
+// histograms and — when the example ran a stream — the SLO line built from
+// the stream.* gauges). Every TraceRecorder mirrors its span histograms and
+// metrics into that registry, so the summary needs no wiring inside the
+// example.
 #pragma once
 
-#include <algorithm>
 #include <cstdio>
 #include <exception>
 #include <iostream>
@@ -37,29 +37,19 @@ inline const char* error_kind(const meshsearch::Error& e) {
   return "error";
 }
 
-/// One-screen dump of the global stats registry (MESHSEARCH_STATS=1): the
-/// top counters by value, every wall-clock histogram as a percentile line,
-/// and the stream SLO summary when stream gauges were recorded.
+/// One-screen dump of the global stats registry (MESHSEARCH_STATS=1): every
+/// wall-clock histogram as a percentile line, and the stream SLO summary
+/// when stream gauges were recorded.
 inline void print_stats_summary(std::ostream& os) {
   auto& reg = meshsearch::stats::StatsRegistry::global();
   if (!reg.enabled()) return;
   const auto snap = reg.snapshot();
   os << "\n== stats (MESHSEARCH_STATS=1) ==\n";
-  if (snap.counters.empty() && snap.gauges.empty() &&
-      snap.histograms.empty()) {
+  if (snap.gauges.empty() && snap.histograms.empty()) {
     os << "(no instruments recorded — wire a TraceRecorder into the cost "
           "model)\n";
     return;
   }
-  auto counters = snap.counters;
-  std::sort(counters.begin(), counters.end(),
-            [](const auto& a, const auto& b) { return a.value > b.value; });
-  const std::size_t top = std::min<std::size_t>(counters.size(), 8);
-  for (std::size_t i = 0; i < top; ++i)
-    os << "  counter  " << counters[i].name << " = " << counters[i].value
-       << "\n";
-  if (counters.size() > top)
-    os << "  ... and " << counters.size() - top << " more counters\n";
   for (const auto& h : snap.histograms) {
     if (h.hist.empty()) continue;
     char line[160];

@@ -81,9 +81,10 @@ int run(int argc, char** argv) {
 
   // 6. Streaming: pay the Algorithm 2 setup once, then serve a longer query
   //    stream in mesh-capacity batches. The recorder charges every
-  //    primitive and collects the per-batch latency/queue-wait histograms;
-  //    run with MESHSEARCH_STATS=1 to get the observability summary printed
-  //    on exit (see example_main.hpp).
+  //    primitive and times every batch attempt in its "stream.batch N" span
+  //    (the wall.phase.stream.batch histogram); run with MESHSEARCH_STATS=1
+  //    to get the observability summary printed on exit (see
+  //    example_main.hpp).
   trace::TraceRecorder rec("alg2-alpha");
   mesh::CostModel traced_model;
   traced_model.trace = &rec;
@@ -94,18 +95,17 @@ int run(int argc, char** argv) {
       ds::uniform_key_queries(4 * engine.capacity(), nkeys + nkeys / 4, rng);
   StreamScheduler sched(engine, BatchPolicy{});
   auto sres = sched.run(stream);
-  record_stream_metrics(&rec, sres);
   std::cout << "\nstreaming " << sres.queries << " queries in "
             << sres.batches.size() << " warm batches: "
             << sres.amortized_steps_per_query()
             << " amortized steps/query (setup fraction "
             << sres.setup_fraction() << ")\n";
-  const auto& lat = sres.slo.batch_latency_us;
-  if (!lat.empty())
-    std::cout << "batch latency p50 " << lat.p50() << " us, p95 " << lat.p95()
-              << " us, max " << lat.max() << " us; degraded "
-              << sres.slo.degraded_batches << ", replans " << sres.slo.replans
-              << ", failed queries " << sres.slo.failed_queries << "\n";
+  for (const auto& h : rec.stats().snapshot().histograms)
+    if (h.name == trace::span_histogram_name("stream.batch"))
+      std::cout << "batch latency p50 " << h.hist.p50() << " us, p95 "
+                << h.hist.p95() << " us, max " << h.hist.max()
+                << " us; replans " << sres.replans << ", failed queries "
+                << sres.failed_queries.size() << "\n";
 
   return mismatch.empty() && mismatch2.empty() ? 0 : 1;
 }

@@ -78,9 +78,8 @@ std::size_t route_partial_generic(MeshShape shape,
   const std::uint64_t epoch = faulty ? fault->next_route_epoch() : 0;
   const std::size_t base_cap = 64 * static_cast<std::size_t>(s) + 64;
   const std::size_t cap =
-      faulty ? static_cast<std::size_t>(
-                   static_cast<double>(base_cap) *
-                   std::max(1.0, fault->config().route_cap_factor))
+      faulty ? static_cast<std::size_t>(static_cast<double>(base_cap) *
+                                        kFaultRouteCapFactor)
              : base_cap;
   std::vector<std::uint64_t> blocked_h, blocked_v;
   if (faulty) {

@@ -152,7 +152,7 @@ PhaseDraw FaultPlan::draw_phase(std::string_view name) {
       }
       // Exponential backoff between attempts: base * 2^j after attempt j.
       for (std::uint32_t j = 0; j < a; ++j)
-        d.backoff_steps += cfg_.backoff_base * std::ldexp(1.0, static_cast<int>(j));
+        d.backoff_steps += kFaultBackoffBase * std::ldexp(1.0, static_cast<int>(j));
       stats_backoff_ += d.backoff_steps;
       return d;
     }
@@ -180,7 +180,7 @@ PhaseDraw FaultPlan::draw_phase(std::string_view name) {
 
 void FaultPlan::degrade() {
   std::lock_guard<std::mutex> lock(mu_);
-  capacity_factor_ *= cfg_.degrade_factor;
+  capacity_factor_ *= kFaultDegradeFactor;
 }
 
 std::size_t FaultPlan::effective_capacity(std::size_t cap) const {

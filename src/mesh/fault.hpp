@@ -68,6 +68,13 @@ class FaultExhaustedError : public meshsearch::Error {
   std::uint64_t occurrence() const noexcept { return context().occurrence; }
 };
 
+/// Backoff after failed phase attempt a: kFaultBackoffBase * 2^a steps.
+inline constexpr double kFaultBackoffBase = 8.0;
+/// Surviving capacity share per degradation (FaultPlan::degrade).
+inline constexpr double kFaultDegradeFactor = 0.5;
+/// Routing convergence-guard scale while a plan is armed.
+inline constexpr double kFaultRouteCapFactor = 16.0;
+
 struct FaultConfig {
   std::uint64_t seed = 0;     ///< fault-plan seed (independent of workloads)
   double p_stall = 0.0;       ///< per (step, cell) processor-stall probability
@@ -75,10 +82,7 @@ struct FaultConfig {
   double p_corrupt = 0.0;     ///< per (step, link) payload-bit-flip probability
   double p_phase = 0.0;       ///< per-attempt phase-failure probability
   int max_retries = 6;        ///< phase attempts = 1 + up to max_retries
-  double backoff_base = 8.0;  ///< backoff after attempt a: base * 2^a steps
-  double degrade_factor = 0.5;  ///< surviving capacity share per degradation
-  int max_replans = 3;          ///< re-plans before a batch reports degraded
-  double route_cap_factor = 16.0;  ///< convergence-guard scale while armed
+  int max_replans = 3;        ///< re-plans before a batch reports degraded
 };
 
 /// Result of one phase draw: how many attempts failed before the first
@@ -164,13 +168,13 @@ class FaultPlan {
   /// Draw the retry schedule for one phase execution. Attempt a fails with
   /// p_phase, and independently with p_corrupt (the end-of-phase checksum
   /// audit detecting transit corruption); after a failed attempt the engine
-  /// waits backoff_base * 2^a steps. Throws FaultExhaustedError when all
+  /// waits kFaultBackoffBase * 2^a steps. Throws FaultExhaustedError when all
   /// 1 + max_retries attempts fail. Draws are keyed by (seed, name,
   /// per-name occurrence counter), so the schedule is a deterministic
   /// function of the call sequence.
   PhaseDraw draw_phase(std::string_view name);
 
-  /// Shrink surviving capacity by degrade_factor (stream scheduler, after a
+  /// Shrink surviving capacity by kFaultDegradeFactor (run_slice, after a
   /// batch exhausts its retries).
   void degrade();
 

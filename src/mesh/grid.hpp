@@ -303,9 +303,8 @@ std::size_t Grid<T>::route_permutation(const std::vector<std::uint32_t>& dest_rm
   const std::uint64_t epoch = faulty ? fault_->next_route_epoch() : 0;
   const std::size_t base_cap = 64 * static_cast<std::size_t>(s) + 64;
   const std::size_t cap =
-      faulty ? static_cast<std::size_t>(
-                   static_cast<double>(base_cap) *
-                   std::max(1.0, fault_->config().route_cap_factor))
+      faulty ? static_cast<std::size_t>(static_cast<double>(base_cap) *
+                                        kFaultRouteCapFactor)
              : base_cap;
   // Per-queue "a drop blocked this queue at step N" stamps. A dropped packet
   // is detected by the receiver's per-step validation and stays at the head

@@ -190,14 +190,10 @@ void finalize_stream(StreamResult& res) {
   res.setup = mesh::Cost{};
   res.inject = mesh::Cost{};
   res.run = mesh::Cost{};
-  res.slo.batches = res.batches.size();
-  res.slo.degraded_batches = 0;
-  res.slo.failed_queries = res.failed_queries.size();
   for (const auto& b : res.batches) {
     res.setup += b.setup;
     res.inject += b.inject;
     res.run += b.run;
-    if (b.degraded) ++res.slo.degraded_batches;
   }
 }
 
@@ -210,17 +206,17 @@ void record_stream_metrics(trace::TraceRecorder* rec,
   rec->metric("stream.amortized_steps_per_query",
               res.amortized_steps_per_query());
   rec->metric("stream.setup_fraction", res.setup_fraction());
-  // The deterministic half of the SLO report: error counts are a pure
-  // function of (stream, seed, plan) and belong with the pinned metrics.
-  // The wall-clock half (latency / queue-wait percentiles) deliberately does
-  // NOT land here — metrics are part of the bit-identity contract (DESIGN §5
-  // decision 13); percentiles live in StreamResult::slo and in the
-  // wall-histogram section of the exporters, both observability-only.
-  rec->metric("stream.degraded_batches",
-              static_cast<double>(res.slo.degraded_batches));
-  rec->metric("stream.replans", static_cast<double>(res.slo.replans));
+  // Error counts are a pure function of (stream, seed, plan) and belong with
+  // the pinned metrics. Wall time deliberately does NOT land here — metrics
+  // are part of the bit-identity contract (DESIGN §5 decision 13); the
+  // per-batch latency is the wall.phase.stream.batch span histogram.
+  const auto degraded = std::count_if(
+      res.batches.begin(), res.batches.end(),
+      [](const BatchReport& b) { return b.degraded; });
+  rec->metric("stream.degraded_batches", static_cast<double>(degraded));
+  rec->metric("stream.replans", static_cast<double>(res.replans));
   rec->metric("stream.failed_queries",
-              static_cast<double>(res.slo.failed_queries));
+              static_cast<double>(res.failed_queries.size()));
 }
 
 }  // namespace meshsearch::msearch

@@ -39,8 +39,9 @@
 //     sort a window of queries by search key so key-adjacent queries share a
 //     batch), runs each batch through run_slice on the warm engine, and
 //     reports per-batch and cumulative cost in a StreamResult. Its counts
-//     are exported once, as stream.* gauges (record_stream_metrics); the
-//     per-batch wall latencies go to the stats registry as histograms. A
+//     are exported once, as stream.* gauges (record_stream_metrics); each
+//     attempt runs in a "stream.batch N" span, whose wall.phase.stream.batch
+//     histogram is the one per-batch wall timer. A
 //     resetup_every_batch mode re-charges the full setup before every batch
 //     — the naive baseline E8 compares against.
 //
@@ -85,7 +86,6 @@
 #include "trace/trace.hpp"
 #include "util/check.hpp"
 #include "util/error.hpp"
-#include "util/stats.hpp"
 
 namespace meshsearch::msearch {
 
@@ -226,27 +226,12 @@ struct BatchReport {
   bool degraded = false;  ///< retry budget exhausted even after re-planning;
                           ///< the batch's queries are REPORTED failed, never
                           ///< silently wrong (see StreamResult::failed_queries)
-  /// Wall-clock observability (NOT part of the determinism contract, which
-  /// pins outcomes, charges, and attribution only — DESIGN.md decision 13).
-  double wall_us = 0;        ///< wall time this batch attempt took
-  double queue_wait_us = 0;  ///< wall time since run() start before it began
+  /// Wall time of the run_slice attempt — observability, NOT part of the
+  /// determinism contract, which pins outcomes, charges, and attribution
+  /// only (DESIGN.md decision 13).
+  double wall_us = 0;
 
   mesh::Cost total() const { return setup + inject + run; }
-};
-
-/// Per-stream service-level report: what a tenant of the future multi-tenant
-/// service would be handed after its stream completes. Latency and queue-wait
-/// percentiles are wall-clock (util::LogHistogram — the repo's one
-/// percentile implementation); degraded/replan/failure counts summarize the
-/// fault story. Everything here is observability: two bit-identical runs may
-/// report different latencies, never different outcomes.
-struct StreamSlo {
-  util::LogHistogram batch_latency_us;  ///< per-batch-attempt wall latency
-  util::LogHistogram queue_wait_us;     ///< wall wait before each attempt ran
-  std::size_t batches = 0;              ///< attempts that produced a report
-  std::size_t degraded_batches = 0;     ///< reported-failed batches
-  std::size_t replans = 0;              ///< re-plan generations executed
-  std::size_t failed_queries = 0;       ///< |StreamResult::failed_queries|
 };
 
 struct StreamResult {
@@ -259,7 +244,7 @@ struct StreamResult {
   mesh::Cost setup;   ///< sum of per-batch setup attributions
   mesh::Cost inject;
   mesh::Cost run;
-  StreamSlo slo;      ///< wall-clock latency percentiles + error report
+  std::size_t replans = 0;  ///< re-sliced attempts (their reports discarded)
 
   mesh::Cost total() const { return setup + inject + run; }
   double amortized_steps_per_query() const;
@@ -274,18 +259,11 @@ void finalize_stream(StreamResult& res);
 
 /// Record the stream metrics (stream.batches, stream.queries,
 /// stream.queries_per_step, stream.amortized_steps_per_query,
-/// stream.setup_fraction and the SLO counts stream.degraded_batches,
+/// stream.setup_fraction and the error counts stream.degraded_batches,
 /// stream.replans, stream.failed_queries) into `rec` as gauges — the one
-/// exported view of those counts. Null `rec` is a no-op.
+/// exported view of those counts, derived from the result's fields. Null
+/// `rec` is a no-op.
 void record_stream_metrics(trace::TraceRecorder* rec, const StreamResult& res);
-
-namespace detail {
-inline double wall_us_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double, std::micro>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
-}
-}  // namespace detail
 
 /// How one slice attempt ended (run_slice).
 enum class SliceOutcome : std::uint8_t {
@@ -340,7 +318,9 @@ SliceAttempt run_slice(Engine& engine, mesh::FaultPlan* fault,
       out.outcome = SliceOutcome::kDegraded;
     }
   }
-  out.wall_us = detail::wall_us_since(begin);
+  out.wall_us = std::chrono::duration<double, std::micro>(
+                    std::chrono::steady_clock::now() - begin)
+                    .count();
   return out;
 }
 
@@ -687,17 +667,13 @@ class StreamScheduler {
     std::size_t serial = 0;  ///< span numbering: one per attempt, run order
     bool setup_attributed = false;
     std::vector<Query> scratch;
-    // Wall-clock SLO instrumentation: queue wait = time between run() start
-    // and the attempt beginning; latency = the attempt itself. Histograms
-    // live on the result AND (via the recorder) in the StatsRegistry; they
-    // never feed back into scheduling, so determinism is untouched.
-    const auto wall_epoch = std::chrono::steady_clock::now();
     while (!work.empty()) {
       PendingBatch cur = work.pop();
+      // Span per attempt: closing it lands the attempt's wall time in the
+      // wall.phase.stream.batch histogram, the one per-batch wall timer.
       trace::SpanScope batch_span(rec,
                                   "stream.batch " + std::to_string(serial));
       ++serial;
-      const double queue_wait_us = detail::wall_us_since(wall_epoch);
       // Cold setup rides on the first report actually emitted; a re-sliced
       // attempt, whose report is discarded, carries it to the next one.
       const bool attribute_setup = cold && !resetup_every_batch_ &&
@@ -710,7 +686,7 @@ class StreamScheduler {
       }
       const SliceAttempt a = run_slice(*engine_, fault, stream, cur, scratch);
       if (a.outcome == SliceOutcome::kReslice) {
-        ++res.slo.replans;
+        ++res.replans;
         work.requeue_split_back(cur, a.capacity);
         continue;
       }
@@ -718,7 +694,6 @@ class StreamScheduler {
       rep.setup = setup;
       rep.replans = cur.replans;
       rep.wall_us = a.wall_us;
-      rep.queue_wait_us = queue_wait_us;
       if (a.outcome == SliceOutcome::kDegraded) {
         rep.size = cur.indices.size();
         rep.degraded = true;
@@ -726,12 +701,6 @@ class StreamScheduler {
                                   cur.indices.begin(), cur.indices.end());
       }
       if (attribute_setup) setup_attributed = true;
-      res.slo.batch_latency_us.observe(rep.wall_us);
-      res.slo.queue_wait_us.observe(rep.queue_wait_us);
-      if (rec != nullptr) {
-        rec->stat_observe("stream.batch_latency_us", rep.wall_us);
-        rec->stat_observe("stream.queue_wait_us", rep.queue_wait_us);
-      }
       res.batches.push_back(rep);
     }
     finalize_stream(res);

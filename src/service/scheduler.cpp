@@ -229,10 +229,6 @@ ServiceScheduler::ServeOutcome ServiceScheduler::serve_slice(
     return out;
   }
   ++t.batches_;
-  t.batch_latency_us_.observe(a.wall_us);
-  if (trace_ != nullptr)
-    trace_->stat_observe(trace::tenant_metric(t.name_, "batch_latency_us"),
-                         a.wall_us);
   QueryState state = QueryState::kDone;
   if (a.outcome == msearch::SliceOutcome::kDone) {
     clock_ += (a.report.inject + a.report.run).steps;
@@ -365,8 +361,8 @@ std::vector<TenantReport> ServiceScheduler::reports() const {
 
 void ServiceScheduler::export_metrics() const {
   if (trace_ == nullptr) return;
-  // Deterministic counts and charges only — wall histograms already went
-  // through stat_observe, keeping rec->metric() bit-identical across runs.
+  // Deterministic counts and charges only — wall time stays in the span
+  // histograms, keeping rec->metric() bit-identical across runs.
   const auto metric = [&](const TenantSession& t, const char* name,
                           double value) {
     trace_->metric(trace::tenant_metric(t.name_, name), value);

@@ -44,8 +44,9 @@
 //
 // Counts live in one place each: TenantSession fields, breaker counters and
 // the scheduler's round counters. export_metrics() publishes them as
-// gauges; only wall-clock histograms (per-tenant batch latency, span wall
-// times) go to the stats registry as they happen.
+// gauges; only span wall times go to the stats registry as they happen —
+// each batch attempt runs in a "service.batch N" span, whose
+// wall.phase.service.batch histogram is the one per-batch wall timer.
 //
 // Overload protection (DESIGN.md decision 17) composes four mechanisms, all
 // decided on the SAME virtual clock / round counter so every shed, reject,

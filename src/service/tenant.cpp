@@ -162,7 +162,6 @@ TenantReport TenantSession::report() const {
   rep.refresh = refresh_;
   rep.queue_wait_steps = queue_wait_steps_;
   rep.latency_steps = latency_steps_;
-  rep.batch_latency_us = batch_latency_us_;
   return rep;
 }
 

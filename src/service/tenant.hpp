@@ -26,8 +26,8 @@
 // steps, see scheduler.hpp): queue_wait = admission -> attempt start,
 // latency = admission -> completion. Both are deterministic functions of the
 // submit/pump call sequence, so percentile tables built from them are safe
-// to pin in bench baselines. Wall-clock histograms ride alongside as
-// observability only.
+// to pin in bench baselines. Wall time is observability only: each batch
+// attempt's "service.batch N" span (scheduler.hpp).
 #pragma once
 
 #include <cstdint>
@@ -156,8 +156,6 @@ struct TenantReport {
   /// Simulated-step SLO histograms — deterministic, baseline-safe.
   util::LogHistogram queue_wait_steps;  ///< admission -> attempt start
   util::LogHistogram latency_steps;     ///< admission -> completion
-  /// Wall-clock per-attempt latency — observability only.
-  util::LogHistogram batch_latency_us;
 
   mesh::Cost charged() const { return inject + run + refresh; }
 };
@@ -288,7 +286,6 @@ class TenantSession {
   mesh::Cost refresh_;
   util::LogHistogram queue_wait_steps_;
   util::LogHistogram latency_steps_;
-  util::LogHistogram batch_latency_us_;
 };
 
 }  // namespace meshsearch::service

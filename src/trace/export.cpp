@@ -51,10 +51,10 @@ void write_trace_json(const TraceRecorder& rec, std::ostream& os) {
   os << "{\"displayTimeUnit\":\"ms\",\"otherData\":{\"engine\":\""
      << escape(rec.engine()) << "\",\"total_steps\":" << num(rec.total_steps())
      << ",\"time_unit\":\"1 us = 1 simulated mesh step\"";
-  // Named metrics (stream.*, fault.*), runtime counters, and wall-clock
-  // histogram summaries ride in otherData so both JSON formats carry them,
-  // not just the flat metrics export. All three read from the recorder's
-  // StatsRegistry — one source.
+  // Named metrics (stream.*, fault.*) and wall-clock histogram summaries
+  // ride in otherData so both JSON formats carry them, not just the flat
+  // metrics export. Both read from the recorder's StatsRegistry — one
+  // source.
   const auto stats_snap = rec.stats().snapshot();
   os << ",\"metrics\":{";
   bool first_metric = true;
@@ -62,13 +62,6 @@ void write_trace_json(const TraceRecorder& rec, std::ostream& os) {
     if (!first_metric) os << ",";
     first_metric = false;
     os << "\"" << escape(g.name) << "\":" << num(g.value);
-  }
-  os << "},\"counters\":{";
-  bool first_counter = true;
-  for (const auto& c : stats_snap.counters) {
-    if (!first_counter) os << ",";
-    first_counter = false;
-    os << "\"" << escape(c.name) << "\":" << c.value;
   }
   os << "},\"wall\":{";
   bool first_hist = true;
@@ -151,14 +144,6 @@ void write_metrics_json(const TraceRecorder& rec, std::ostream& os) {
     os << "{\"name\":\"" << escape(g.name) << "\",\"value\":" << num(g.value)
        << "}";
   }
-  os << "],\"counters\":[";
-  first = true;
-  for (const auto& c : stats_snap.counters) {
-    if (!first) os << ",";
-    first = false;
-    os << "{\"name\":\"" << escape(c.name) << "\",\"value\":" << c.value
-       << "}";
-  }
   // Wall-clock histograms (observability only — never part of the
   // determinism contract): merged percentiles per histogram name.
   os << "],\"wall_histograms\":[";
@@ -216,7 +201,7 @@ util::Table metrics_table(const TraceRecorder& rec) {
     t.add_row({std::string(primitive_name(key.prim)), key.p,
                static_cast<std::int64_t>(stat.calls), stat.steps,
                total > 0 ? stat.steps / total : 0.0});
-  // Named metrics, runtime counters, and wall-clock percentiles ride below
+  // Named metrics and wall-clock percentiles ride below
   // the histogram: the value lands in the "steps" column (it is the row's
   // only number; fractions like metric:stream.setup_fraction read naturally
   // next to the share column). One source: the recorder's StatsRegistry.
@@ -224,9 +209,6 @@ util::Table metrics_table(const TraceRecorder& rec) {
   for (const auto& g : snap.gauges)
     t.add_row({"metric:" + g.name, std::string(), std::string(), g.value,
                std::string()});
-  for (const auto& c : snap.counters)
-    t.add_row({"counter:" + c.name, std::string(), std::string(),
-               static_cast<double>(c.value), std::string()});
   for (const auto& h : snap.histograms) {
     if (h.hist.empty()) continue;
     t.add_row({"wall:" + h.name + ".p50_us", std::string(),

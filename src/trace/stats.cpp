@@ -41,14 +41,11 @@ thread_local TlsShardCache tls_shards;
 
 }  // namespace
 
-/// One thread's slice of every counter and histogram. Slots live in
+/// One thread's slice of every histogram. Slots live in
 /// lazily-published fixed-size blocks so registering new instruments never
 /// moves existing slots (the owning thread allocates; snapshot readers load
 /// block pointers with acquire).
 struct StatsRegistry::Shard {
-  struct CounterBlock {
-    std::array<std::atomic<std::uint64_t>, kBlockSlots> v{};
-  };
   struct HistSlot {
     std::array<std::atomic<std::uint64_t>, util::LogHistogram::kBucketCount>
         buckets{};
@@ -61,29 +58,9 @@ struct StatsRegistry::Shard {
     std::array<HistSlot, kBlockSlots> v{};
   };
 
-  std::array<std::atomic<CounterBlock*>, kMaxBlocks> counter_blocks{};
   std::array<std::atomic<HistBlock*>, kMaxBlocks> hist_blocks{};
-  std::vector<std::unique_ptr<CounterBlock>> counter_owner;
   std::vector<std::unique_ptr<HistBlock>> hist_owner;
   std::mutex alloc_mu;  ///< serializes block publication (cold path)
-
-  std::atomic<std::uint64_t>* counter_slot(std::uint32_t id, bool create) {
-    const std::size_t b = id / kBlockSlots;
-    if (b >= kMaxBlocks) return nullptr;
-    CounterBlock* blk = counter_blocks[b].load(std::memory_order_acquire);
-    if (blk == nullptr) {
-      if (!create) return nullptr;
-      const std::lock_guard<std::mutex> lock(alloc_mu);
-      blk = counter_blocks[b].load(std::memory_order_acquire);
-      if (blk == nullptr) {
-        auto owned = std::make_unique<CounterBlock>();
-        blk = owned.get();
-        counter_owner.push_back(std::move(owned));
-        counter_blocks[b].store(blk, std::memory_order_release);
-      }
-    }
-    return &blk->v[id % kBlockSlots];
-  }
 
   HistSlot* hist_slot(std::uint32_t id, bool create) {
     const std::size_t b = id / kBlockSlots;
@@ -122,12 +99,6 @@ std::uint32_t StatsRegistry::intern(std::vector<std::string>& names,
   return id;
 }
 
-StatsRegistry::Counter StatsRegistry::counter(std::string_view name) {
-  if (!enabled()) return Counter{};
-  const std::lock_guard<std::mutex> lock(mu_);
-  return Counter{this, intern(counter_names_, counter_ids_, name)};
-}
-
 StatsRegistry::Gauge StatsRegistry::gauge(std::string_view name) {
   if (!enabled()) return Gauge{};
   const std::lock_guard<std::mutex> lock(mu_);
@@ -154,12 +125,6 @@ StatsRegistry::Shard* StatsRegistry::shard_for_this_thread() {
   }
   tls_shards.put(uid_, s);
   return s;
-}
-
-void StatsRegistry::Counter::add(std::uint64_t delta) const {
-  if (reg_ == nullptr || !reg_->enabled() || delta == 0) return;
-  auto* slot = reg_->shard_for_this_thread()->counter_slot(id_, true);
-  if (slot != nullptr) slot->fetch_add(delta, std::memory_order_relaxed);
 }
 
 std::atomic<double>* StatsRegistry::gauge_slot(std::uint32_t id, bool create) {
@@ -211,24 +176,14 @@ void StatsRegistry::Histogram::observe(double value) const {
 
 Snapshot StatsRegistry::snapshot() const {
   Snapshot out;
-  std::vector<std::string> cnames, gnames, hnames;
+  std::vector<std::string> gnames, hnames;
   std::vector<Shard*> shards;
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    cnames = counter_names_;
     gnames = gauge_names_;
     hnames = hist_names_;
     shards.reserve(shards_.size());
     for (const auto& s : shards_) shards.push_back(s.get());
-  }
-  out.counters.reserve(cnames.size());
-  for (std::uint32_t id = 0; id < cnames.size(); ++id) {
-    CounterSnapshot c;
-    c.name = cnames[id];
-    for (Shard* s : shards)
-      if (auto* slot = s->counter_slot(id, false))
-        c.value += slot->load(std::memory_order_relaxed);
-    out.counters.push_back(std::move(c));
   }
   out.gauges.reserve(gnames.size());
   for (std::uint32_t id = 0; id < gnames.size(); ++id) {
@@ -271,32 +226,9 @@ Snapshot StatsRegistry::snapshot() const {
   return out;
 }
 
-std::size_t StatsRegistry::gauge_count() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return gauge_names_.size();
-}
-
 std::size_t StatsRegistry::shard_count() const {
   const std::lock_guard<std::mutex> lock(mu_);
   return shards_.size();
-}
-
-void StatsRegistry::reset() {
-  const std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& s : shards_) {
-    for (auto& owned : s->counter_owner)
-      for (auto& v : owned->v) v.store(0, std::memory_order_relaxed);
-    for (auto& owned : s->hist_owner)
-      for (auto& slot : owned->v) {
-        for (auto& b : slot.buckets) b.store(0, std::memory_order_relaxed);
-        slot.count.store(0, std::memory_order_relaxed);
-        slot.sum.store(0, std::memory_order_relaxed);
-        slot.min.store(0, std::memory_order_relaxed);
-        slot.max.store(0, std::memory_order_relaxed);
-      }
-  }
-  for (auto& owned : gauge_block_owner_)
-    for (auto& v : owned->v) v.store(0, std::memory_order_relaxed);
 }
 
 bool StatsRegistry::env_enabled() {
@@ -309,21 +241,6 @@ bool StatsRegistry::env_enabled() {
 StatsRegistry& StatsRegistry::global() {
   static StatsRegistry reg(env_enabled());
   return reg;
-}
-
-ScopedWallTimer::ScopedWallTimer(StatsRegistry& reg, std::string_view name) {
-  if (!reg.enabled()) return;
-  hist_ = reg.histogram(name);
-  armed_ = true;
-  begin_ = std::chrono::steady_clock::now();
-}
-
-ScopedWallTimer::~ScopedWallTimer() {
-  if (!armed_) return;
-  const auto us = std::chrono::duration<double, std::micro>(
-                      std::chrono::steady_clock::now() - begin_)
-                      .count();
-  hist_.observe(us);
 }
 
 }  // namespace meshsearch::stats

@@ -1,23 +1,26 @@
-// Runtime observability: a lock-light registry of named monotonic counters,
-// gauges, and log-bucketed wall-clock histograms.
+// Runtime observability: a lock-light registry of named gauges and
+// log-bucketed wall-clock histograms.
 //
 // The charged-cost trace layer (trace/trace.hpp) records what the paper's
-// model PREDICTS; this registry measures what the machine actually DOES —
-// wall-clock phase durations, per-batch stream latencies, fault-recovery
-// counters. The two ride side by side in every exporter, but only charged
-// costs, outcomes, and attribution are part of the 1-vs-8-thread bit-identity
-// contract (DESIGN.md §5, decision 13): wall-clock values are observability
-// only and may differ between runs.
+// model PREDICTS; this registry measures what the machine actually DOES.
+// It holds exactly what something writes: the gauges behind
+// TraceRecorder::metric() (stream.*, tenant.*, fault.* counts, each exported
+// once) and the wall.phase.<span> histograms end_span() feeds — the per-batch
+// spans "stream.batch N" / "service.batch N" are the one per-batch wall
+// timer. Both ride in every exporter, but only charged costs, outcomes, and
+// attribution are part of the 1-vs-8-thread bit-identity contract
+// (DESIGN.md §5, decision 13): wall-clock values are observability only and
+// may differ between runs.
 //
 // Design:
-//   * Counters and histograms are sharded per thread: an update touches only
-//     the calling thread's shard (relaxed atomics, no lock), and snapshot()
-//     merges all shards. Gauges are registry-level (set-semantics does not
-//     shard) — one relaxed atomic store per set.
-//   * Handles (Counter/Gauge/Histogram) resolve the name once under the
-//     registry mutex and are then lock-free to use; create them outside hot
-//     loops. The by-name convenience calls (add/set/observe) re-resolve per
-//     call and are meant for phase-end granularity.
+//   * Histograms are sharded per thread: an update touches only the calling
+//     thread's shard (relaxed atomics, no lock), and snapshot() merges all
+//     shards. Gauges are registry-level (set-semantics does not shard) — one
+//     relaxed atomic store per set.
+//   * Handles (Gauge/Histogram) resolve the name once under the registry
+//     mutex and are then lock-free to use; create them outside hot loops.
+//     The by-name convenience calls (set/observe) re-resolve per call and
+//     are meant for phase-end granularity.
 //   * A disabled registry does NO work: updates return after one relaxed
 //     load, no shard is ever allocated, snapshot() is empty. Disabled-mode
 //     cost is one branch — near-zero overhead, verified by
@@ -33,7 +36,6 @@
 
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -49,10 +51,6 @@ namespace meshsearch::stats {
 
 /// Merged, point-in-time view of a registry. Entries appear in registration
 /// order (deterministic given a deterministic registration sequence).
-struct CounterSnapshot {
-  std::string name;
-  std::uint64_t value = 0;
-};
 struct GaugeSnapshot {
   std::string name;
   double value = 0;
@@ -62,7 +60,6 @@ struct HistogramSnapshot {
   util::LogHistogram hist;
 };
 struct Snapshot {
-  std::vector<CounterSnapshot> counters;
   std::vector<GaugeSnapshot> gauges;
   std::vector<HistogramSnapshot> histograms;
 };
@@ -82,17 +79,6 @@ class StatsRegistry {
   /// Cheap copyable handles. A handle from a disabled registry (or a
   /// default-constructed one) is inert. Handles stay valid for the life of
   /// the registry; create them once, outside hot loops.
-  class Counter {
-   public:
-    Counter() = default;
-    void add(std::uint64_t delta = 1) const;
-
-   private:
-    friend class StatsRegistry;
-    Counter(StatsRegistry* r, std::uint32_t id) : reg_(r), id_(id) {}
-    StatsRegistry* reg_ = nullptr;
-    std::uint32_t id_ = 0;
-  };
   class Gauge {
    public:
     Gauge() = default;
@@ -118,14 +104,10 @@ class StatsRegistry {
 
   /// Resolve (registering on first use) a named instrument. Returns an inert
   /// handle while the registry is disabled — no allocation happens.
-  Counter counter(std::string_view name);
   Gauge gauge(std::string_view name);
   Histogram histogram(std::string_view name);
 
   /// By-name conveniences (resolve + update in one call).
-  void add(std::string_view name, std::uint64_t delta = 1) {
-    counter(name).add(delta);
-  }
   void set(std::string_view name, double value) { gauge(name).set(value); }
   void observe(std::string_view name, double value) {
     histogram(name).observe(value);
@@ -137,16 +119,10 @@ class StatsRegistry {
   /// instrument, which is all the exporters need).
   Snapshot snapshot() const;
 
-  /// Number of gauges set via metric-style updates (exporter ordering aid).
-  std::size_t gauge_count() const;
-
-  /// Per-thread shards allocated so far — 0 until the first enabled counter
-  /// or histogram update; stays 0 forever on a disabled registry (the
+  /// Per-thread shards allocated so far — 0 until the first enabled
+  /// histogram update; stays 0 forever on a disabled registry (the
   /// disabled-mode zero-allocation check).
   std::size_t shard_count() const;
-
-  /// Zero every value, keep registrations and shards.
-  void reset();
 
   /// Process-wide registry, initially enabled iff MESHSEARCH_STATS is truthy.
   static StatsRegistry& global();
@@ -156,7 +132,6 @@ class StatsRegistry {
 
  private:
   struct Shard;
-  friend class Counter;
   friend class Gauge;
   friend class Histogram;
 
@@ -180,8 +155,8 @@ class StatsRegistry {
   const std::uint64_t uid_;  ///< distinguishes registries in the TLS cache
 
   mutable std::mutex mu_;  ///< guards registration + shard list
-  std::vector<std::string> counter_names_, gauge_names_, hist_names_;
-  NameMap counter_ids_, gauge_ids_, hist_ids_;
+  std::vector<std::string> gauge_names_, hist_names_;
+  NameMap gauge_ids_, hist_ids_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::unordered_map<std::thread::id, Shard*> shard_by_thread_;
 
@@ -194,22 +169,6 @@ class StatsRegistry {
   std::vector<std::unique_ptr<GaugeBlock>> gauge_block_owner_;
 
   std::atomic<double>* gauge_slot(std::uint32_t id, bool create);
-};
-
-/// RAII wall-clock timer: observes the elapsed microseconds into
-/// `registry.histogram(name)` at scope exit. Skips the clock reads entirely
-/// when the registry is disabled at construction.
-class ScopedWallTimer {
- public:
-  ScopedWallTimer(StatsRegistry& reg, std::string_view name);
-  ScopedWallTimer(const ScopedWallTimer&) = delete;
-  ScopedWallTimer& operator=(const ScopedWallTimer&) = delete;
-  ~ScopedWallTimer();
-
- private:
-  StatsRegistry::Histogram hist_;
-  bool armed_ = false;
-  std::chrono::steady_clock::time_point begin_;
 };
 
 }  // namespace meshsearch::stats

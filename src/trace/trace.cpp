@@ -78,9 +78,13 @@ void TraceRecorder::end_span() {
     wall_us = s.wall_end_us - s.wall_begin_us;
   }
   // Wall-clock phase histogram — outside mu_ (the registry locks for itself
-  // and never calls back into the recorder). Observability only: charged
-  // cost, outcomes, and attribution are untouched.
-  stat_observe(span_histogram_name(name), wall_us);
+  // and never calls back into the recorder), mirrored to the global registry
+  // under MESHSEARCH_STATS=1. Observability only: charged cost, outcomes,
+  // and attribution are untouched.
+  const std::string hist = span_histogram_name(name);
+  stats_.observe(hist, wall_us);
+  auto& g = stats::StatsRegistry::global();
+  if (g.enabled()) g.observe(hist, wall_us);
 }
 
 double TraceRecorder::total_steps() const {
@@ -110,12 +114,6 @@ std::vector<Metric> TraceRecorder::metrics() const {
   out.reserve(snap.gauges.size());
   for (const auto& g : snap.gauges) out.push_back(Metric{g.name, g.value});
   return out;
-}
-
-void TraceRecorder::stat_observe(std::string_view name, double value_us) {
-  stats_.observe(name, value_us);
-  auto& g = stats::StatsRegistry::global();
-  if (g.enabled()) g.observe(name, value_us);
 }
 
 std::string span_histogram_name(std::string_view span_name) {

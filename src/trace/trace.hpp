@@ -154,26 +154,25 @@ class TraceRecorder {
   /// is preserved so exported reports read in the order the run emitted.
   /// Backed by a StatsRegistry gauge, so the lookup is hashed (a bench
   /// setting 10k metrics per sweep stays linear, not quadratic) and all
-  /// exporters read metrics, counters, and histograms from one source.
+  /// exporters read metrics and wall histograms from one source.
   /// Mirrored to the process-global registry when MESHSEARCH_STATS=1.
   void metric(std::string_view name, double value);
 
   /// Snapshot of the named metrics in first-insertion order.
   std::vector<Metric> metrics() const;
 
-  /// Runtime (wall-clock) stats riding alongside the charged-cost trace.
+  /// Runtime (wall-clock) stats riding alongside the charged-cost trace:
+  /// the metric() gauges plus, as the only histograms, one per span name.
   /// end_span() records each closed span's wall duration into the histogram
   /// "wall.phase.<name>" (trailing " <number>" suffixes are collapsed so
-  /// per-batch spans share one histogram). Wall-clock values are
+  /// per-batch spans share one histogram — "stream.batch N" and
+  /// "service.batch N" are the per-batch wall timers), mirrored to the
+  /// process-global registry when MESHSEARCH_STATS=1. Wall-clock values are
   /// observability only — they are NOT part of the 1-vs-8-thread
   /// bit-identity contract, which pins outcomes, charges, and attribution
-  /// (DESIGN.md §5, decision 13).
-  stats::StatsRegistry& stats() { return stats_; }
+  /// (DESIGN.md §5, decision 13). Read-only: metric() and end_span() are
+  /// the registry's only writers.
   const stats::StatsRegistry& stats() const { return stats_; }
-
-  /// Fan-out convenience: observe into this recorder's registry and mirror
-  /// to the process-global registry when it is enabled (MESHSEARCH_STATS=1).
-  void stat_observe(std::string_view name, double value_us);
 
  private:
   double wall_now_us() const;

@@ -20,6 +20,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -104,7 +105,6 @@ TEST(FaultPlan, BackoffDoublesPerFailedAttempt) {
   mesh::FaultConfig cfg;
   cfg.seed = 1;
   cfg.p_phase = 0.5;
-  cfg.backoff_base = 8.0;
   mesh::FaultPlan plan(cfg);
   std::uint32_t deepest = 0;
   for (int i = 0; i < 200; ++i) {
@@ -578,6 +578,22 @@ void expect_plan(const mesh::FaultPlan& plan, const PlanPin& want) {
   EXPECT_EQ(s.capacity_factor, want.capacity_factor);
 }
 
+/// After a traced run the recorder's registry holds only the wall.phase.*
+/// span histograms (plus metric gauges): the per-batch span is the one
+/// per-batch wall timer, and it closes once per attempt, re-sliced included.
+void expect_one_wall_path(const trace::TraceRecorder& rec,
+                          std::string_view batch_span,
+                          std::size_t attempts) {
+  const auto snap = rec.stats().snapshot();
+  std::size_t batch_count = 0;
+  for (const auto& h : snap.histograms) {
+    EXPECT_EQ(h.name.rfind("wall.phase.", 0), 0u) << h.name;
+    if (h.name == trace::span_histogram_name(batch_span))
+      batch_count = h.hist.count();
+  }
+  EXPECT_EQ(batch_count, attempts);
+}
+
 /// A plan under which one run has done, re-sliced AND degraded slices: no
 /// phase retries, so any failed phase exhausts its batch.
 mesh::FaultConfig mixed_outcome_config() {
@@ -595,8 +611,10 @@ TEST(FaultStream, MixedOutcomeRunIsPinned) {
   sequential_multisearch(fx.tree.graph(), fx.tree.rank_count(), oracle);
   const auto pristine = outcomes(stream);
   mesh::FaultPlan plan(mixed_outcome_config());
+  trace::TraceRecorder rec("counting");
   mesh::CostModel m;
   m.fault = &plan;
+  m.trace = &rec;
   PreparedSearch engine(EngineKind::kAlg2Alpha, fx.tree.graph(),
                         fx.tree.alpha_splitting(), fx.tree.alpha_splitting(),
                         fx.tree.rank_count(), m, fx.shape);
@@ -607,13 +625,14 @@ TEST(FaultStream, MixedOutcomeRunIsPinned) {
   for (const auto& b : res.batches) done += b.degraded ? 0 : 1;
   EXPECT_EQ(res.batches.size(), 43u);
   EXPECT_EQ(done, 40u);
-  EXPECT_EQ(res.slo.replans, 8u);
-  EXPECT_EQ(res.slo.degraded_batches, 3u);
+  EXPECT_EQ(res.replans, 8u);
+  EXPECT_EQ(res.batches.size() - done, 3u);  // degraded batches
   EXPECT_EQ(res.total().steps, 406976.0);
   const std::vector<std::pair<std::uint32_t, std::uint32_t>> failed_runs =
       {{832, 896}, {4416, 4448}, {6752, 6768}};
   EXPECT_EQ(as_runs(res.failed_queries), failed_runs);
   expect_plan(plan, PlanPin{11, 11, 8, 3, 0.0, 0.00048828125});
+  expect_one_wall_path(rec, "stream.batch", res.batches.size() + res.replans);
 
   // Failed positions keep their checkpoint; every other one is answered.
   std::vector<bool> failed(stream.size(), false);
@@ -990,7 +1009,8 @@ TEST(FaultService, MixedOutcomeRunIsPinned) {
   auto engine = service::make_partitioned_engine(
       EngineKind::kAlg2Alpha, fx.tree.graph(), fx.tree.alpha_splitting(),
       fx.tree.alpha_splitting(), fx.tree.rank_count(), m, fx.shape);
-  service::ServiceScheduler svc;
+  trace::TraceRecorder rec("service");
+  service::ServiceScheduler svc({}, &rec);
   service::TenantQuota quota;
   quota.max_outstanding = 8 * cap;
   service::TenantSession& t = svc.add_tenant("solo", *engine, quota);
@@ -1019,6 +1039,7 @@ TEST(FaultService, MixedOutcomeRunIsPinned) {
       {{3840, 4096}};
   EXPECT_EQ(as_runs(failed), failed_runs);
   expect_plan(plan, PlanPin{5, 5, 4, 1, 0.0, 0.03125});
+  expect_one_wall_path(rec, "service.batch", rep.batches + rep.replans);
 }
 
 TEST(FaultService, PerTenantFaultMetricsLandUnderTenantNamespace) {

@@ -1,13 +1,15 @@
 // Observability-layer tests: LogHistogram bucket math and percentiles
-// (against a sorted-vector oracle), StatsRegistry sharding and snapshot
-// determinism, disabled-mode zero-allocation, concurrent updates, the
-// registry-backed TraceRecorder::metric() (the O(n^2) overwrite fix), the
-// JSON reader/writer round trip, and the bench baseline comparison logic.
+// (against a sorted-vector oracle), StatsRegistry (gauges + sharded
+// histograms) snapshot determinism, disabled-mode zero-allocation,
+// concurrent updates, the registry-backed TraceRecorder::metric() (the
+// O(n^2) overwrite fix), the JSON reader/writer round trip, and the bench
+// baseline comparison logic.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -112,19 +114,19 @@ TEST(LogHistogram, MergeEqualsInterleavedObservation) {
 // ---------------------------------------------------------------------------
 // StatsRegistry
 
-TEST(StatsRegistry, CountersGaugesHistogramsRoundTrip) {
+TEST(StatsRegistry, GaugesHistogramsRoundTrip) {
   StatsRegistry reg(true);
-  reg.add("requests", 3);
-  reg.add("requests", 2);
+  reg.set("requests", 3.0);
+  reg.set("requests", 5.0);  // set semantics: the last write wins
   reg.set("温度", 21.5);  // names are arbitrary bytes
   reg.observe("lat_us", 100.0);
   reg.observe("lat_us", 200.0);
   const auto snap = reg.snapshot();
-  ASSERT_EQ(snap.counters.size(), 1u);
-  EXPECT_EQ(snap.counters[0].name, "requests");
-  EXPECT_EQ(snap.counters[0].value, 5u);
-  ASSERT_EQ(snap.gauges.size(), 1u);
-  EXPECT_DOUBLE_EQ(snap.gauges[0].value, 21.5);
+  ASSERT_EQ(snap.gauges.size(), 2u);
+  EXPECT_EQ(snap.gauges[0].name, "requests");
+  EXPECT_DOUBLE_EQ(snap.gauges[0].value, 5.0);
+  EXPECT_EQ(snap.gauges[1].name, "温度");
+  EXPECT_DOUBLE_EQ(snap.gauges[1].value, 21.5);
   ASSERT_EQ(snap.histograms.size(), 1u);
   EXPECT_EQ(snap.histograms[0].hist.count(), 2u);
   EXPECT_DOUBLE_EQ(snap.histograms[0].hist.sum(), 300.0);
@@ -134,12 +136,12 @@ TEST(StatsRegistry, CountersGaugesHistogramsRoundTrip) {
 
 TEST(StatsRegistry, DisabledRegistryAllocatesNoShards) {
   StatsRegistry reg(false);
-  reg.add("c", 10);
   reg.observe("h", 1.0);
+  reg.histogram("h2").observe(2.0);
   reg.set("g", 2.0);
+  reg.gauge("g2").set(3.0);
   EXPECT_EQ(reg.shard_count(), 0u);
   const auto snap = reg.snapshot();
-  EXPECT_TRUE(snap.counters.empty());
   EXPECT_TRUE(snap.histograms.empty());
   EXPECT_TRUE(snap.gauges.empty());
 }
@@ -148,54 +150,56 @@ TEST(StatsRegistry, ConcurrentUpdatesMergeExactly) {
   StatsRegistry reg(true);
   constexpr int kThreads = 8;
   constexpr int kPerThread = 20000;
-  const auto counter = reg.counter("hits");
+  const auto hits = reg.histogram("hits");
   std::vector<std::thread> workers;
   for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&reg, counter, t] {
+    workers.emplace_back([&reg, hits, t] {
       const auto hist = reg.histogram("obs");
+      const auto gauge = reg.gauge("g" + std::to_string(t));
       for (int i = 0; i < kPerThread; ++i) {
-        counter.add();
+        hits.observe(1.0);
         hist.observe(static_cast<double>(t + 1));
+        gauge.set(static_cast<double>(i));
       }
     });
   }
   for (auto& w : workers) w.join();
   const auto snap = reg.snapshot();
-  ASSERT_EQ(snap.counters.size(), 1u);
-  EXPECT_EQ(snap.counters[0].value,
-            static_cast<std::uint64_t>(kThreads) * kPerThread);
-  ASSERT_EQ(snap.histograms.size(), 1u);
-  EXPECT_EQ(snap.histograms[0].hist.count(),
-            static_cast<std::uint64_t>(kThreads) * kPerThread);
-  EXPECT_DOUBLE_EQ(snap.histograms[0].hist.min(), 1.0);
-  EXPECT_DOUBLE_EQ(snap.histograms[0].hist.max(), kThreads);
+  constexpr auto kTotal = static_cast<std::uint64_t>(kThreads) * kPerThread;
+  ASSERT_EQ(snap.histograms.size(), 2u);
+  EXPECT_EQ(snap.histograms[0].name, "hits");
+  EXPECT_EQ(snap.histograms[0].hist.count(), kTotal);
+  EXPECT_DOUBLE_EQ(snap.histograms[0].hist.sum(),
+                   static_cast<double>(kTotal));
+  EXPECT_EQ(snap.histograms[1].hist.count(), kTotal);
+  // Sum of (t + 1) * kPerThread over t: exact in a double at this size.
+  EXPECT_DOUBLE_EQ(snap.histograms[1].hist.sum(),
+                   kPerThread * kThreads * (kThreads + 1) / 2.0);
+  EXPECT_DOUBLE_EQ(snap.histograms[1].hist.min(), 1.0);
+  EXPECT_DOUBLE_EQ(snap.histograms[1].hist.max(), kThreads);
+  ASSERT_EQ(snap.gauges.size(), static_cast<std::size_t>(kThreads));
+  for (const auto& g : snap.gauges)
+    EXPECT_DOUBLE_EQ(g.value, kPerThread - 1) << g.name;
   EXPECT_GE(reg.shard_count(), 1u);
   EXPECT_LE(reg.shard_count(), static_cast<std::size_t>(kThreads) + 1);
 }
 
 TEST(StatsRegistry, SnapshotIsDeterministicRegistrationOrder) {
   StatsRegistry reg(true);
-  reg.add("z", 1);
-  reg.add("a", 1);
-  reg.add("m", 1);
+  for (const char* name : {"z", "a", "m"}) {
+    reg.observe(name, 1.0);
+    reg.set(name, 1.0);
+  }
+  reg.observe("a", 2.0);  // re-use keeps the first registration's slot
   const auto snap = reg.snapshot();
-  ASSERT_EQ(snap.counters.size(), 3u);
-  EXPECT_EQ(snap.counters[0].name, "z");
-  EXPECT_EQ(snap.counters[1].name, "a");
-  EXPECT_EQ(snap.counters[2].name, "m");
-}
-
-TEST(StatsRegistry, ResetZeroesValuesKeepsRegistrations) {
-  StatsRegistry reg(true);
-  reg.add("c", 7);
-  reg.observe("h", 3.0);
-  reg.set("g", 4.0);
-  reg.reset();
-  const auto snap = reg.snapshot();
-  ASSERT_EQ(snap.counters.size(), 1u);
-  EXPECT_EQ(snap.counters[0].value, 0u);
-  ASSERT_EQ(snap.histograms.size(), 1u);
-  EXPECT_TRUE(snap.histograms[0].hist.empty());
+  ASSERT_EQ(snap.histograms.size(), 3u);
+  ASSERT_EQ(snap.gauges.size(), 3u);
+  const std::vector<std::string> want = {"z", "a", "m"};
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(snap.histograms[i].name, want[i]);
+    EXPECT_EQ(snap.gauges[i].name, want[i]);
+  }
+  EXPECT_EQ(snap.histograms[1].hist.count(), 2u);
 }
 
 // ---------------------------------------------------------------------------
