@@ -4,9 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <string>
 
+#include "multisearch/recovery.hpp"
 #include "multisearch/validate.hpp"
 #include "trace/trace.hpp"
 #include "util/check.hpp"
@@ -310,22 +310,10 @@ void verify_label_capacity(const HierarchicalPlan& plan,
   }
 }
 
-Alg1RetrySchedule draw_alg1_retries(mesh::FaultPlan& fault,
-                                    std::size_t num_bands) {
-  Alg1RetrySchedule s;
-  s.step0 = fault.draw_phase("alg1.step0");
-  s.bands.reserve(num_bands);
-  for (std::size_t i = 0; i < num_bands; ++i)
-    s.bands.push_back(fault.draw_phase("alg1.band " + std::to_string(i)));
-  s.bstar = fault.draw_phase("alg1.bstar");
-  return s;
-}
-
 HierarchicalRunResult hierarchical_cost(
     const HierarchicalDag& dag, const HierarchicalPlan& plan,
     mesh::MeshShape shape, const mesh::CostModel& m,
-    const std::vector<std::int32_t>* sweeps, bool charge_band_setup,
-    const Alg1RetrySchedule* retries) {
+    const std::vector<std::int32_t>* sweeps, bool charge_band_setup) {
   HierarchicalRunResult res;
   // Every charge goes through a TraceRecorder and the per-band report is
   // read back out of it (span deltas), so BandCostReport is a view over
@@ -348,37 +336,24 @@ HierarchicalRunResult hierarchical_cost(
     res.level_sweeps[static_cast<std::size_t>(l)] =
         static_cast<std::int32_t>(sweeps_at(l));
 
-  // Standalone armed calls draw their own schedule; hierarchical_multisearch
-  // passes the one it already drew so the draws are never double-consumed.
-  std::optional<Alg1RetrySchedule> own_retries;
-  if (retries == nullptr && mt.fault != nullptr && mt.fault->armed()) {
-    own_retries = draw_alg1_retries(*mt.fault, plan.bands.size());
-    retries = &*own_retries;
+  // Draw every checkpoint unit's retries before the first charge, in
+  // execution order: step 0, each band, B*. Disarmed, every draw stays
+  // empty and each unit is charged once.
+  std::vector<mesh::PhaseDraw> draws(plan.bands.size() + 2);
+  if (mt.fault != nullptr && mt.fault->armed()) {
+    draws.front() = mt.fault->draw_phase("alg1.step0");
+    for (std::size_t i = 0; i < plan.bands.size(); ++i)
+      draws[i + 1] = mt.fault->draw_phase("alg1.band " + std::to_string(i));
+    draws.back() = mt.fault->draw_phase("alg1.bstar");
   }
-  // Charge one checkpoint unit under its retry draw: each failed attempt
-  // re-charges the unit in full under a "fault.retry" span, then the summed
-  // exponential backoff is charged, then the successful attempt.
-  auto with_retries = [&](const mesh::PhaseDraw* d, const std::string& name,
-                          auto&& body) -> mesh::Cost {
-    mesh::Cost c;
-    if (d != nullptr && d->failed_attempts > 0) {
-      for (std::uint32_t a = 0; a < d->failed_attempts; ++a) {
-        trace::SpanScope retry(rec, "fault.retry " + name);
-        c += body();
-      }
-      c += mt.backoff(p, d->backoff_steps);
-    }
-    c += body();
-    return c;
-  };
 
   TRACE_SPAN(rec, "algorithm1");
 
   {
     // Initial multistep: every query visits the first node of its path.
     TRACE_SPAN(rec, "alg1.step0: initial multistep");
-    res.cost += with_retries(retries ? &retries->step0 : nullptr, "alg1.step0",
-                             [&] { return mt.rar(p); });
+    res.cost += detail::charge_attempts(mt, p, "alg1.step0", draws.front(),
+                                        [&] { return mt.rar(p); });
   }
 
   for (std::size_t i = 0; i < plan.bands.size(); ++i) {
@@ -426,8 +401,8 @@ HierarchicalRunResult hierarchical_cost(
       rep.solve_steps = solve_span.sim_elapsed();
       return c;
     };
-    res.cost += with_retries(retries ? &retries->bands[i] : nullptr,
-                             "alg1.band " + std::to_string(i), band_body);
+    res.cost += detail::charge_attempts(
+        mt, p, "alg1.band " + std::to_string(i), draws[i + 1], band_body);
 
     const double dh = static_cast<double>(band.hi - band.lo + 1);
     rep.lemma1_bound =
@@ -440,14 +415,14 @@ HierarchicalRunResult hierarchical_cost(
     // Step 4: B* level-by-level on the whole mesh (O(1) levels).
     trace::SpanScope bstar_span(rec, "alg1.step4: B* level sweeps");
     res.bstar_levels = dag.height() - plan.bstar_lo + 1;
-    res.cost += with_retries(retries ? &retries->bstar : nullptr, "alg1.bstar",
-                             [&]() -> mesh::Cost {
-                               mesh::Cost c;
-                               for (std::int32_t l = plan.bstar_lo;
-                                    l <= dag.height(); ++l)
-                                 c += mt.rar(p, sweeps_at(l));
-                               return c;
-                             });
+    auto bstar_body = [&]() -> mesh::Cost {
+      mesh::Cost c;
+      for (std::int32_t l = plan.bstar_lo; l <= dag.height(); ++l)
+        c += mt.rar(p, sweeps_at(l));
+      return c;
+    };
+    res.cost +=
+        detail::charge_attempts(mt, p, "alg1.bstar", draws.back(), bstar_body);
     res.bstar_steps = bstar_span.sim_elapsed();
   }
   return res;

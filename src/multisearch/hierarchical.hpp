@@ -24,11 +24,9 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "mesh/cost.hpp"
-#include "mesh/fault.hpp"
 #include "mesh/ops_soa.hpp"
 #include "mesh/snake.hpp"
 #include "multisearch/graph.hpp"
@@ -149,25 +147,6 @@ struct HierarchicalRunResult {
   std::vector<std::int32_t> level_sweeps;
 };
 
-/// Per-unit retry schedule for Algorithm 1 under an armed FaultPlan: one
-/// draw for step 0 (initial multistep), one per band (its setup + Lemma-1
-/// solve as one checkpoint unit), one for the B* sweep — in that order.
-/// hierarchical_multisearch draws the schedule once and replays its failed
-/// attempts in both the host data pass and the charged cost, so the two
-/// stay consistent; hierarchical_cost draws its own only when called
-/// standalone with an armed fault.
-struct Alg1RetrySchedule {
-  mesh::PhaseDraw step0;
-  std::vector<mesh::PhaseDraw> bands;
-  mesh::PhaseDraw bstar;
-};
-
-/// Draw the full Algorithm-1 schedule from `fault` (one draw_phase call per
-/// unit, in execution order). Throws FaultExhaustedError if any unit
-/// exhausts its retry budget.
-Alg1RetrySchedule draw_alg1_retries(mesh::FaultPlan& fault,
-                                    std::size_t num_bands);
-
 /// Cost of Algorithm 1 (steps 1-4) on `shape`. `sweeps` gives the number of
 /// RAR sweeps per DAG level; pass nullptr to charge the worst case
 /// (level_work sweeps per level). hierarchical_multisearch measures the
@@ -176,13 +155,15 @@ Alg1RetrySchedule draw_alg1_retries(mesh::FaultPlan& fault,
 /// `charge_band_setup` = false skips the per-band steps 1-3a charges (sort
 /// labels + duplicate B_i): a warm engine (stream.hpp PreparedSearch) pays
 /// band_setup_cost once at preparation and reuses the replicas per batch.
-/// `retries` replays an already-drawn fault schedule (see Alg1RetrySchedule);
-/// with a null `retries` and an armed m.fault the function draws its own.
+/// Under an armed m.fault, the checkpoint units — step 0, each band (its
+/// setup + Lemma-1 solve), the B* sweep — draw their retries in that order
+/// before the first charge, so an exhausted unit throws FaultExhaustedError
+/// with nothing charged; failed attempts are re-charged in full plus backoff.
 HierarchicalRunResult hierarchical_cost(
     const HierarchicalDag& dag, const HierarchicalPlan& plan,
     mesh::MeshShape shape, const mesh::CostModel& m,
     const std::vector<std::int32_t>* sweeps = nullptr,
-    bool charge_band_setup = true, const Alg1RetrySchedule* retries = nullptr);
+    bool charge_band_setup = true);
 
 /// Exactly the steps 1-3a charges hierarchical_cost makes per band (label
 /// registers, band sort, duplication into submeshes), summed over all bands
@@ -337,38 +318,18 @@ HierarchicalRunResult hierarchical_core(
   // its wall-clock time for the host-side profile.
   std::vector<std::int32_t> sweeps(static_cast<std::size_t>(dag.height()) + 1,
                                    0);
-  // Under an armed fault plan, draw the whole retry schedule up front so the
-  // host data pass and the charged cost replay identical failed attempts.
-  std::optional<Alg1RetrySchedule> retries;
-  if (m.fault != nullptr && m.fault->armed())
-    retries = draw_alg1_retries(*m.fault, plan.bands.size());
-  // A failed attempt physically re-runs a unit's data pass on a scratch copy
-  // of the query state (the checkpoint is the unit's input), so recovery
-  // never leaks partial progress into the real state.
-  auto wasted_attempts = [&](std::uint32_t failed, std::int32_t hi) {
-    for (std::uint32_t a = 0; a < failed; ++a) {
-      std::vector<Query> scratch = queries;
-      std::vector<std::int32_t> scratch_sweeps = sweeps;
-      advance_through_levels(g, prog, scratch, hi, visit_cap, scratch_sweeps);
-    }
-  };
   std::size_t total_visits = 0;
   {
     TRACE_SPAN(m.trace, "alg1.data pass (host)");
-    for (std::size_t i = 0; i < plan.bands.size(); ++i) {
-      if (retries) wasted_attempts(retries->bands[i].failed_attempts,
-                                   plan.bands[i].hi);
-      total_visits += advance_through_levels(
-          g, prog, queries, plan.bands[i].hi, visit_cap, sweeps);
-    }
-    if (retries) wasted_attempts(retries->bstar.failed_attempts, dag.height());
+    for (const Band& band : plan.bands)
+      total_visits += advance_through_levels(g, prog, queries, band.hi,
+                                             visit_cap, sweeps);
     total_visits += advance_through_levels(g, prog, queries, dag.height(),
                                            visit_cap, sweeps);
   }
   for (auto& s : sweeps) s = std::max(s, 1);
   HierarchicalRunResult res =
-      hierarchical_cost(dag, plan, shape, m, &sweeps, charge_band_setup,
-                        retries ? &*retries : nullptr);
+      hierarchical_cost(dag, plan, shape, m, &sweeps, charge_band_setup);
   res.total_visits = total_visits;
   if (paranoid) paranoid_audit(g, prog, std::move(shadow), queries, engine);
   return res;

@@ -226,9 +226,9 @@ struct BatchReport {
   bool degraded = false;  ///< retry budget exhausted even after re-planning;
                           ///< the batch's queries are REPORTED failed, never
                           ///< silently wrong (see StreamResult::failed_queries)
-  /// Wall time of the run_slice attempt — observability, NOT part of the
-  /// determinism contract, which pins outcomes, charges, and attribution
-  /// only (DESIGN.md decision 13).
+  /// Wall time of the run_slice attempt, timed by StreamScheduler::run —
+  /// observability, NOT part of the determinism contract, which pins
+  /// outcomes, charges, and attribution only (DESIGN.md decision 13).
   double wall_us = 0;
 
   mesh::Cost total() const { return setup + inject + run; }
@@ -276,7 +276,6 @@ struct SliceAttempt {
   SliceOutcome outcome = SliceOutcome::kDone;
   BatchReport report;        ///< the engine's report (kDone only)
   std::size_t capacity = 0;  ///< surviving capacity to re-slice at (kReslice)
-  double wall_us = 0;        ///< wall time of the attempt (observability)
 };
 
 /// Run `slice` of `stream` on `engine` (a PreparedSearch<P> or a type-erased
@@ -292,7 +291,6 @@ template <typename Engine>
 SliceAttempt run_slice(Engine& engine, mesh::FaultPlan* fault,
                        std::vector<Query>& stream, const PendingBatch& slice,
                        std::vector<Query>& scratch) {
-  const auto begin = std::chrono::steady_clock::now();
   SliceAttempt out;
   scratch.clear();
   scratch.reserve(slice.indices.size());
@@ -318,9 +316,6 @@ SliceAttempt run_slice(Engine& engine, mesh::FaultPlan* fault,
       out.outcome = SliceOutcome::kDegraded;
     }
   }
-  out.wall_us = std::chrono::duration<double, std::micro>(
-                    std::chrono::steady_clock::now() - begin)
-                    .count();
   return out;
 }
 
@@ -417,10 +412,8 @@ class PreparedSearch {
     const double p = static_cast<double>(shape_.size());
     if (!req.delta.topology_changed && !req.force_full) {
       rep.incremental = true;
-      // The charge body is idempotent (a pure cost computation), so an int
-      // stands in as the checkpoint state for the retry machinery.
-      int state = 0;
-      rep.cost = detail::recovered_phase(*m_, p, "rebuild", state, [&] {
+      // The charge body is a pure cost computation: nothing to checkpoint.
+      rep.cost = detail::recovered_phase(*m_, p, "rebuild", [&] {
         double messages = 0;
         for (const Vid v : req.delta.dirty_vertices)
           messages += static_cast<double>(replica_copies(g_->vert(v).level));
@@ -684,7 +677,11 @@ class StreamScheduler {
       } else if (attribute_setup) {
         setup = engine_->setup_cost();  // attribution only, not a charge
       }
+      const auto begin = std::chrono::steady_clock::now();
       const SliceAttempt a = run_slice(*engine_, fault, stream, cur, scratch);
+      const double wall_us = std::chrono::duration<double, std::micro>(
+                                 std::chrono::steady_clock::now() - begin)
+                                 .count();
       if (a.outcome == SliceOutcome::kReslice) {
         ++res.replans;
         work.requeue_split_back(cur, a.capacity);
@@ -693,7 +690,7 @@ class StreamScheduler {
       BatchReport rep = a.report;
       rep.setup = setup;
       rep.replans = cur.replans;
-      rep.wall_us = a.wall_us;
+      rep.wall_us = wall_us;
       if (a.outcome == SliceOutcome::kDegraded) {
         rep.size = cur.indices.size();
         rep.degraded = true;

@@ -1,5 +1,5 @@
-// Runtime observability: a lock-light registry of named gauges and
-// log-bucketed wall-clock histograms.
+// Runtime observability: a registry of named gauges and log-bucketed
+// wall-clock histograms.
 //
 // The charged-cost trace layer (trace/trace.hpp) records what the paper's
 // model PREDICTS; this registry measures what the machine actually DOES.
@@ -13,18 +13,19 @@
 // may differ between runs.
 //
 // Design:
-//   * Histograms are sharded per thread: an update touches only the calling
-//     thread's shard (relaxed atomics, no lock), and snapshot() merges all
-//     shards. Gauges are registry-level (set-semantics does not shard) — one
-//     relaxed atomic store per set.
-//   * Handles (Gauge/Histogram) resolve the name once under the registry
-//     mutex and are then lock-free to use; create them outside hot loops.
-//     The by-name convenience calls (set/observe) re-resolve per call and
-//     are meant for phase-end granularity.
-//   * A disabled registry does NO work: updates return after one relaxed
-//     load, no shard is ever allocated, snapshot() is empty. Disabled-mode
-//     cost is one branch — near-zero overhead, verified by
-//     tests/test_stats.cpp.
+//   * One mutex over one table: a name -> index map, the gauges and the
+//     histograms, each kept in registration order. set(), observe() and
+//     snapshot() each take the lock once; a write is one hash lookup plus a
+//     store (gauge) or a util::LogHistogram::observe (histogram), which
+//     already tracks exact count, sum, min and max. Writers update at
+//     phase-end granularity (one write per closed span or exported metric),
+//     so the lock is never on a per-query path.
+//   * Gauges and histograms have separate namespaces: one name may be both.
+//   * A disabled registry does NO work: updates return after one branch,
+//     nothing is registered, snapshot() is empty. enabled() is a plain flag
+//     read outside the lock, so flip it (set_enabled) only while no thread
+//     is writing — the tests that toggle the global registry do so between
+//     runs.
 //   * Percentile math is util::LogHistogram (util/stats.hpp) — the single
 //     implementation shared with the bench harness and SLO reports.
 //
@@ -34,14 +35,11 @@
 // end-of-run summaries (examples/example_main.hpp) without any wiring.
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <cstdint>
-#include <memory>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -49,8 +47,8 @@
 
 namespace meshsearch::stats {
 
-/// Merged, point-in-time view of a registry. Entries appear in registration
-/// order (deterministic given a deterministic registration sequence).
+/// Point-in-time view of a registry. Entries appear in registration order
+/// (deterministic given a deterministic registration sequence).
 struct GaugeSnapshot {
   std::string name;
   double value = 0;
@@ -66,63 +64,23 @@ struct Snapshot {
 
 class StatsRegistry {
  public:
-  explicit StatsRegistry(bool enabled = true);
-  ~StatsRegistry();
+  explicit StatsRegistry(bool enabled = true) : enabled_(enabled) {}
   StatsRegistry(const StatsRegistry&) = delete;
   StatsRegistry& operator=(const StatsRegistry&) = delete;
 
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-  void set_enabled(bool on) {
-    enabled_.store(on, std::memory_order_relaxed);
-  }
+  bool enabled() const { return enabled_; }
+  void set_enabled(bool on) { enabled_ = on; }
 
-  /// Cheap copyable handles. A handle from a disabled registry (or a
-  /// default-constructed one) is inert. Handles stay valid for the life of
-  /// the registry; create them once, outside hot loops.
-  class Gauge {
-   public:
-    Gauge() = default;
-    void set(double value) const;
+  /// Set the gauge `name` (registering it on first use); the last write
+  /// wins. No-op while disabled.
+  void set(std::string_view name, double value);
+  /// Record one observation into the histogram `name` (registering it on
+  /// first use). No-op while disabled.
+  void observe(std::string_view name, double value);
 
-   private:
-    friend class StatsRegistry;
-    Gauge(StatsRegistry* r, std::uint32_t id) : reg_(r), id_(id) {}
-    StatsRegistry* reg_ = nullptr;
-    std::uint32_t id_ = 0;
-  };
-  class Histogram {
-   public:
-    Histogram() = default;
-    void observe(double value) const;
-
-   private:
-    friend class StatsRegistry;
-    Histogram(StatsRegistry* r, std::uint32_t id) : reg_(r), id_(id) {}
-    StatsRegistry* reg_ = nullptr;
-    std::uint32_t id_ = 0;
-  };
-
-  /// Resolve (registering on first use) a named instrument. Returns an inert
-  /// handle while the registry is disabled — no allocation happens.
-  Gauge gauge(std::string_view name);
-  Histogram histogram(std::string_view name);
-
-  /// By-name conveniences (resolve + update in one call).
-  void set(std::string_view name, double value) { gauge(name).set(value); }
-  void observe(std::string_view name, double value) {
-    histogram(name).observe(value);
-  }
-
-  /// Merged view across all thread shards, registration order. Safe to call
-  /// concurrently with updates (values are merged with relaxed reads; a
-  /// concurrent snapshot sees each update either fully or not at all per
-  /// instrument, which is all the exporters need).
+  /// Copy of every gauge and histogram, registration order. Safe to call
+  /// concurrently with updates: each update is seen fully or not at all.
   Snapshot snapshot() const;
-
-  /// Per-thread shards allocated so far — 0 until the first enabled
-  /// histogram update; stays 0 forever on a disabled registry (the
-  /// disabled-mode zero-allocation check).
-  std::size_t shard_count() const;
 
   /// Process-wide registry, initially enabled iff MESHSEARCH_STATS is truthy.
   static StatsRegistry& global();
@@ -131,44 +89,25 @@ class StatsRegistry {
   static bool env_enabled();
 
  private:
-  struct Shard;
-  friend class Gauge;
-  friend class Histogram;
-
-  static constexpr std::size_t kBlockSlots = 64;
-  static constexpr std::size_t kMaxBlocks = 256;  ///< 16384 ids per kind
-
   struct NameHash {
     using is_transparent = void;
     std::size_t operator()(std::string_view s) const {
       return std::hash<std::string_view>{}(s);
     }
   };
-  using NameMap =
-      std::unordered_map<std::string, std::uint32_t, NameHash, std::equal_to<>>;
-
-  std::uint32_t intern(std::vector<std::string>& names, NameMap& ids,
-                       std::string_view name);
-  Shard* shard_for_this_thread();
-
-  std::atomic<bool> enabled_;
-  const std::uint64_t uid_;  ///< distinguishes registries in the TLS cache
-
-  mutable std::mutex mu_;  ///< guards registration + shard list
-  std::vector<std::string> gauge_names_, hist_names_;
-  NameMap gauge_ids_, hist_ids_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::unordered_map<std::thread::id, Shard*> shard_by_thread_;
-
-  /// Gauges: registry-level atomic<double> slots, block-allocated so
-  /// existing slots never move while new gauges register.
-  struct GaugeBlock {
-    std::array<std::atomic<double>, kBlockSlots> v{};
+  /// Indices into table_.gauges / table_.histograms; kNone = not registered
+  /// as that kind.
+  struct Slots {
+    static constexpr std::uint32_t kNone = UINT32_MAX;
+    std::uint32_t gauge = kNone;
+    std::uint32_t hist = kNone;
   };
-  std::array<std::atomic<GaugeBlock*>, kMaxBlocks> gauge_blocks_{};
-  std::vector<std::unique_ptr<GaugeBlock>> gauge_block_owner_;
+  Slots& slots(std::string_view name);  ///< find or insert; caller holds mu_
 
-  std::atomic<double>* gauge_slot(std::uint32_t id, bool create);
+  bool enabled_;
+  mutable std::mutex mu_;  ///< guards ids_ and table_
+  std::unordered_map<std::string, Slots, NameHash, std::equal_to<>> ids_;
+  Snapshot table_;
 };
 
 }  // namespace meshsearch::stats

@@ -171,7 +171,8 @@ class TraceRecorder {
   /// observability only — they are NOT part of the 1-vs-8-thread
   /// bit-identity contract, which pins outcomes, charges, and attribution
   /// (DESIGN.md §5, decision 13). Read-only: metric() and end_span() are
-  /// the registry's only writers.
+  /// the registry's only writers, one locked table write each (two with
+  /// the global mirror on).
   const stats::StatsRegistry& stats() const { return stats_; }
 
  private:

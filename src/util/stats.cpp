@@ -46,22 +46,6 @@ void LogHistogram::observe(double v, std::uint64_t times) {
   sum_ += v * static_cast<double>(times);
 }
 
-void LogHistogram::add_bucket(std::size_t i, std::uint64_t count) {
-  MS_CHECK(i < kBucketCount);
-  if (count == 0) return;
-  const double v = bucket_value(i);
-  buckets_[i] += count;
-  if (count_ == 0) {
-    min_ = v;
-    max_ = v;
-  } else {
-    min_ = std::min(min_, v);
-    max_ = std::max(max_, v);
-  }
-  count_ += count;
-  sum_ += v * static_cast<double>(count);
-}
-
 void LogHistogram::merge(const LogHistogram& other) {
   if (other.count_ == 0) return;
   for (std::size_t i = 0; i < kBucketCount; ++i) buckets_[i] += other.buckets_[i];
@@ -74,13 +58,6 @@ void LogHistogram::merge(const LogHistogram& other) {
   }
   count_ += other.count_;
   sum_ += other.sum_;
-}
-
-void LogHistogram::override_moments(double sum, double min, double max) {
-  if (count_ == 0) return;
-  sum_ = sum;
-  min_ = min;
-  max_ = max;
 }
 
 double LogHistogram::mean() const {

@@ -4,11 +4,11 @@
 // claims, e.g. slope ~ 0.5 for O(sqrt n)), and the log-bucketed histogram
 // that is the ONE implementation of percentile math in this repo.
 //
-// Every consumer of percentiles — the StatsRegistry shards (trace/stats.hpp),
-// the stream scheduler's SLO report (multisearch/stream.hpp), Summary's
-// p50/p90/p95/p99 fields, and the BENCH_*.json emitter (bench/bench_common.hpp)
-// — goes through LogHistogram, so bench CSVs and BENCH_*.json can never
-// disagree on what "p95" means.
+// Every consumer of percentiles — the StatsRegistry histograms
+// (trace/stats.hpp), the service's per-tenant latency reports
+// (service/tenant.hpp), Summary's p50/p90/p95/p99 fields, and the
+// BENCH_*.json emitter (bench/bench_common.hpp) — goes through LogHistogram,
+// so bench CSVs and BENCH_*.json can never disagree on what "p95" means.
 #pragma once
 
 #include <array>
@@ -26,8 +26,8 @@ namespace meshsearch::util {
 /// sub-buckets); exact min/max/sum/count ride alongside. Values below kMinValue
 /// collapse into bucket 0, values above the top bucket into the last one.
 ///
-/// Plain value type, not thread-safe; the per-thread shards in trace/stats.hpp
-/// keep atomic bucket counts and merge into a LogHistogram at snapshot time.
+/// Plain value type, not thread-safe; trace/stats.hpp keeps its histograms
+/// behind the registry mutex.
 class LogHistogram {
  public:
   static constexpr std::size_t kSubBuckets = 8;   ///< buckets per power of 2
@@ -44,13 +44,6 @@ class LogHistogram {
 
   void observe(double v, std::uint64_t times = 1);
   void merge(const LogHistogram& other);
-  void add_bucket(std::size_t i, std::uint64_t count);  ///< shard-merge entry
-
-  /// Replace the bucket-derived sum/min/max with exactly-tracked values.
-  /// The StatsRegistry shards keep exact moments in atomics alongside the
-  /// approximate buckets; snapshot() rebuilds via add_bucket then restores
-  /// the exact moments here. No-op on an empty histogram.
-  void override_moments(double sum, double min, double max);
 
   std::uint64_t count() const { return count_; }
   bool empty() const { return count_ == 0; }

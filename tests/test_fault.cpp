@@ -642,6 +642,48 @@ TEST(FaultStream, MixedOutcomeRunIsPinned) {
     EXPECT_EQ(got[i], failed[i] ? pristine[i] : want[i]) << "position " << i;
 }
 
+TEST(FaultStream, Alg1MixedOutcomeRunIsPinned) {
+  // Algorithm 1 (paper plan) under the mixed-outcome plan with one retry
+  // per unit and a higher phase rate: retried units (re-charged plus
+  // backoff), re-sliced and degraded slices all occur in one run.
+  const Alg1Fixture fx;
+  auto stream = fx.stream(4 * fx.shape.size() + 9, 77);
+  auto oracle = stream;
+  sequential_multisearch(fx.g, ds::HashWalk{0}, oracle);
+  const auto pristine = outcomes(stream);
+  mesh::FaultConfig cfg = mixed_outcome_config();
+  cfg.p_phase = 0.4;
+  cfg.max_retries = 1;
+  mesh::FaultPlan plan(cfg);
+  trace::TraceRecorder rec("counting");
+  mesh::CostModel m;
+  m.fault = &plan;
+  m.trace = &rec;
+  PreparedSearch engine(fx.dag, PlanKind::kPaper, ds::HashWalk{0}, m,
+                        fx.shape);
+  StreamScheduler sched(engine, BatchPolicy{});
+  const auto res = sched.run(stream);
+
+  std::size_t done = 0;
+  for (const auto& b : res.batches) done += b.degraded ? 0 : 1;
+  EXPECT_EQ(res.batches.size(), 30u);
+  EXPECT_EQ(done, 25u);
+  EXPECT_EQ(res.replans, 8u);
+  EXPECT_EQ(res.batches.size() - done, 5u);  // degraded batches
+  EXPECT_EQ(res.total().steps, 480179.0);
+  EXPECT_EQ(rec.total_steps(), 483507.0);  // + the re-sliced attempts
+  const std::vector<std::pair<std::uint32_t, std::uint32_t>> failed_runs =
+      {{6592, 6656}, {6688, 6704}, {6720, 6736}, {6752, 6768}};
+  EXPECT_EQ(as_runs(res.failed_queries), failed_runs);
+  expect_plan(plan, PlanPin{43, 13, 8, 5, 136.0, 0.0001220703125});
+
+  std::vector<bool> failed(stream.size(), false);
+  for (const auto i : res.failed_queries) failed[i] = true;
+  const auto got = outcomes(stream), want = outcomes(oracle);
+  for (std::size_t i = 0; i < stream.size(); ++i)
+    EXPECT_EQ(got[i], failed[i] ? pristine[i] : want[i]) << "position " << i;
+}
+
 TEST(FaultStream, FaultMetricsExportedOnlyWhenArmed) {
   const Alg3Fixture fx;
   auto run = [&](double p_phase) {

@@ -672,14 +672,26 @@ TEST(StreamMetrics, PerBatchSpanTreeRecorded) {
                         fx.tree.rank_count(), m, fx.shape);
   auto stream = fx.stream(3 * fx.shape.size());
   StreamScheduler sched(engine, BatchPolicy{});
-  sched.run(stream);
+  const auto res = sched.run(stream);
   std::size_t prepare = 0, batch_spans = 0;
+  double span_us = 0;
   for (const auto& s : rec.spans()) {
     if (s.name == "stream.prepare") ++prepare;
-    if (s.name.rfind("stream.batch ", 0) == 0) ++batch_spans;
+    if (s.name.rfind("stream.batch ", 0) == 0) {
+      ++batch_spans;
+      span_us += s.wall_end_us - s.wall_begin_us;
+    }
   }
   EXPECT_EQ(prepare, 1u);      // warm: one setup span, at construction
   EXPECT_EQ(batch_spans, 3u);  // one span per batch
+  // BatchReport::wall_us times the run_slice attempt inside each batch span:
+  // positive, and at most the spans' wall time in total.
+  double report_us = 0;
+  for (const auto& b : res.batches) {
+    EXPECT_GT(b.wall_us, 0.0);
+    report_us += b.wall_us;
+  }
+  EXPECT_LE(report_us, span_us);
 }
 
 // ---------------------------------------------------------------------------
@@ -1016,7 +1028,6 @@ TEST(StreamSlice, DoneWritesTheSliceBack) {
   EXPECT_EQ(a.report.size, 3u);
   EXPECT_EQ(a.report.inject.steps, 7.0);
   EXPECT_EQ(a.report.run.steps, 11.0);
-  EXPECT_GE(a.wall_us, 0.0);
   for (std::size_t i = 0; i < stream.size(); ++i) {
     const bool in_slice = i == 2 || i == 5 || i == 7;
     EXPECT_EQ(stream[i].result,
