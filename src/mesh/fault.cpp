@@ -180,7 +180,8 @@ PhaseDraw FaultPlan::draw_phase(std::string_view name) {
 
 void FaultPlan::degrade() {
   std::lock_guard<std::mutex> lock(mu_);
-  capacity_factor_ *= kFaultDegradeFactor;
+  capacity_factor_ = std::max(capacity_factor_ * kFaultDegradeFactor,
+                              kFaultMinCapacityFactor);
 }
 
 std::size_t FaultPlan::effective_capacity(std::size_t cap) const {

@@ -72,6 +72,11 @@ class FaultExhaustedError : public meshsearch::Error {
 inline constexpr double kFaultBackoffBase = 8.0;
 /// Surviving capacity share per degradation (FaultPlan::degrade).
 inline constexpr double kFaultDegradeFactor = 0.5;
+/// Floor of the degraded capacity factor: below 2^-64 no std::size_t
+/// capacity rounds to more than one query, so effective_capacity is 1 for
+/// every engine already and further halving would change only the exported
+/// fault.capacity_factor, which would underflow to 0.
+inline constexpr double kFaultMinCapacityFactor = 0x1p-64;
 /// Routing convergence-guard scale while a plan is armed.
 inline constexpr double kFaultRouteCapFactor = 16.0;
 
@@ -175,7 +180,7 @@ class FaultPlan {
   PhaseDraw draw_phase(std::string_view name);
 
   /// Shrink surviving capacity by kFaultDegradeFactor (run_slice, after a
-  /// batch exhausts its retries).
+  /// batch exhausts its retries), never below kFaultMinCapacityFactor.
   void degrade();
 
   /// Capacity after degradation: max(1, floor(cap * capacity_factor)).

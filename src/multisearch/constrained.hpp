@@ -177,7 +177,7 @@ ConstrainedStats constrained_multisearch_core(
           const Query& qa =
               queries[copy_data[j + mesh::ops::soa::kPrefetchDistance]];
           if (qa.current != kNoVertex && qa.next != kNoVertex)
-            mesh::ops::soa::prefetch(&g.vert(qa.next));
+            prefetch_visit(g, qa.next);
         }
         Query& q = queries[copy_data[j]];
         if (q.done) continue;

@@ -61,17 +61,24 @@ std::size_t DistributedGraph::max_degree() const {
 }
 
 void reset_queries(std::vector<Query>& queries) {
-  for (auto& q : queries) {
-    q.current = kNoVertex;
-    q.next = kNoVertex;
-    q.steps = 0;
-    q.done = false;
-    q.acc0 = 0;
-    q.acc1 = 0;
-    q.state = 0;
-    q.prev = kNoVertex;
-    q.result = kNoVertex;
-  }
+  // A streaming pass over the whole batch, once per run: on a
+  // mesh-capacity batch it is memory-bound, so it runs on the pool. Each
+  // query is written by exactly one fixed chunk.
+  util::for_fixed_chunks(queries.size(), [&](std::size_t, std::size_t lo,
+                                             std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) {
+      Query& q = queries[i];
+      q.current = kNoVertex;
+      q.next = kNoVertex;
+      q.steps = 0;
+      q.done = false;
+      q.acc0 = 0;
+      q.acc1 = 0;
+      q.state = 0;
+      q.prev = kNoVertex;
+      q.result = kNoVertex;
+    }
+  });
 }
 
 bool all_done(const std::vector<Query>& queries) {

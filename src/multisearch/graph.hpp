@@ -77,6 +77,21 @@ class DistributedGraph {
   std::uint64_t generation_ = 0;
 };
 
+/// Prefetch the cache lines of v's record that a visit reads: the header
+/// (id, degree, level) and the adjacency. A VertexRecord is 144 bytes, so
+/// records start at four different offsets within a 64-byte line, and the
+/// header plus the first adjacency entries straddle a line boundary at
+/// three of them. Touching p and p + 63 brings in every line of the
+/// record's first 64 bytes (header and nbr[0..12]) whatever its alignment;
+/// p + 63 falls in p's own line only when the record is line-aligned, and
+/// then no second line is fetched. Pure latency hiding: no outcome can
+/// depend on it.
+inline void prefetch_visit(const DistributedGraph& g, Vid v) {
+  const char* p = reinterpret_cast<const char*>(&g.vert(v));
+  mesh::ops::soa::prefetch(p);
+  mesh::ops::soa::prefetch(p + 63);
+}
+
 /// Visit semantics shared by all engines: q arrives at q.next, receives the
 /// record, applies the successor function once. Returns false when the query
 /// was already finished (and flags `done`).
@@ -120,7 +135,7 @@ std::size_t advance_all(const DistributedGraph& g, const P& prog,
       if (i + mesh::ops::soa::kPrefetchDistance < hi) {
         const Query& qa = queries[i + mesh::ops::soa::kPrefetchDistance];
         if (qa.current != kNoVertex && qa.next != kNoVertex)
-          mesh::ops::soa::prefetch(&g.vert(qa.next));
+          prefetch_visit(g, qa.next);
       }
       local += advance_one(g, prog, queries[i]) ? 1 : 0;
     }

@@ -315,14 +315,10 @@ HierarchicalRunResult hierarchical_cost(
     mesh::MeshShape shape, const mesh::CostModel& m,
     const std::vector<std::int32_t>* sweeps, bool charge_band_setup) {
   HierarchicalRunResult res;
-  // Every charge goes through a TraceRecorder and the per-band report is
-  // read back out of it (span deltas), so BandCostReport is a view over
-  // the same data a --trace export sees. When the caller attached no sink,
-  // a local recorder keeps the view available.
-  trace::TraceRecorder local_rec("counting");
-  mesh::CostModel mt = m;
-  if (mt.trace == nullptr) mt.trace = &local_rec;
-  trace::TraceRecorder* rec = mt.trace;
+  // The per-band report is summed from the Costs the charges return, so it
+  // is the same with or without a trace sink. The spans below only feed a
+  // caller's sink; an untraced call (every warm batch) records nothing.
+  trace::TraceRecorder* rec = m.trace;
 
   const double p = static_cast<double>(shape.size());
   // Sweeps per level: measured if provided, else the static bound.
@@ -340,11 +336,11 @@ HierarchicalRunResult hierarchical_cost(
   // execution order: step 0, each band, B*. Disarmed, every draw stays
   // empty and each unit is charged once.
   std::vector<mesh::PhaseDraw> draws(plan.bands.size() + 2);
-  if (mt.fault != nullptr && mt.fault->armed()) {
-    draws.front() = mt.fault->draw_phase("alg1.step0");
+  if (m.fault != nullptr && m.fault->armed()) {
+    draws.front() = m.fault->draw_phase("alg1.step0");
     for (std::size_t i = 0; i < plan.bands.size(); ++i)
-      draws[i + 1] = mt.fault->draw_phase("alg1.band " + std::to_string(i));
-    draws.back() = mt.fault->draw_phase("alg1.bstar");
+      draws[i + 1] = m.fault->draw_phase("alg1.band " + std::to_string(i));
+    draws.back() = m.fault->draw_phase("alg1.bstar");
   }
 
   TRACE_SPAN(rec, "algorithm1");
@@ -352,8 +348,8 @@ HierarchicalRunResult hierarchical_cost(
   {
     // Initial multistep: every query visits the first node of its path.
     TRACE_SPAN(rec, "alg1.step0: initial multistep");
-    res.cost += detail::charge_attempts(mt, p, "alg1.step0", draws.front(),
-                                        [&] { return mt.rar(p); });
+    res.cost += detail::charge_attempts(m, p, "alg1.step0", draws.front(),
+                                        [&] { return m.rar(p); });
   }
 
   for (std::size_t i = 0; i < plan.bands.size(); ++i) {
@@ -374,13 +370,16 @@ HierarchicalRunResult hierarchical_cost(
     auto band_body = [&]() -> mesh::Cost {
       mesh::Cost c;
       if (charge_band_setup) {
-        trace::SpanScope setup_span(rec, "alg1.steps1-3a: band setup");
-        c += one_band_setup(mt, parent_submesh_elems(plan, i, shape));
-        rep.setup_steps = setup_span.sim_elapsed();
+        TRACE_SPAN(rec, "alg1.steps1-3a: band setup");
+        const mesh::Cost setup =
+            one_band_setup(m, parent_submesh_elems(plan, i, shape));
+        rep.setup_steps = setup.steps;
+        c += setup;
       }
       // Step 3(b): Lemma 1 on every B_i-submesh, independently in parallel —
       // all submeshes run the same lockstep sweeps, so max == one submesh.
-      trace::SpanScope solve_span(rec, "alg1.step3b: lemma1 solve");
+      TRACE_SPAN(rec, "alg1.step3b: lemma1 solve");
+      mesh::Cost solve;
       const std::int32_t b1_levels = band.split - band.lo;
       if (b1_levels > 0) {
         // Phase 1: replicate B_i^1 into inner sub-submeshes, then walk its
@@ -388,21 +387,21 @@ HierarchicalRunResult hierarchical_cost(
         TRACE_SPAN(rec, "lemma1.B1: replicate + local sweeps");
         const double s_inner =
             s_i / (static_cast<double>(band.inner_grid) * band.inner_grid);
-        c += mt.route(s_i);
+        solve += m.route(s_i);
         for (std::int32_t l = band.lo; l < band.split; ++l)
-          c += mt.rar(s_inner, sweeps_at(l));
+          solve += m.rar(s_inner, sweeps_at(l));
       }
       {
         // Phase 2: walk B_i^2 level-by-level at submesh scale.
         TRACE_SPAN(rec, "lemma1.B2: submesh level sweeps");
         for (std::int32_t l = band.split; l <= band.hi; ++l)
-          c += mt.rar(s_i, sweeps_at(l));
+          solve += m.rar(s_i, sweeps_at(l));
       }
-      rep.solve_steps = solve_span.sim_elapsed();
-      return c;
+      rep.solve_steps = solve.steps;
+      return c + solve;
     };
     res.cost += detail::charge_attempts(
-        mt, p, "alg1.band " + std::to_string(i), draws[i + 1], band_body);
+        m, p, "alg1.band " + std::to_string(i), draws[i + 1], band_body);
 
     const double dh = static_cast<double>(band.hi - band.lo + 1);
     rep.lemma1_bound =
@@ -413,17 +412,19 @@ HierarchicalRunResult hierarchical_cost(
 
   {
     // Step 4: B* level-by-level on the whole mesh (O(1) levels).
-    trace::SpanScope bstar_span(rec, "alg1.step4: B* level sweeps");
+    TRACE_SPAN(rec, "alg1.step4: B* level sweeps");
     res.bstar_levels = dag.height() - plan.bstar_lo + 1;
     auto bstar_body = [&]() -> mesh::Cost {
       mesh::Cost c;
       for (std::int32_t l = plan.bstar_lo; l <= dag.height(); ++l)
-        c += mt.rar(p, sweeps_at(l));
+        c += m.rar(p, sweeps_at(l));
       return c;
     };
-    res.cost +=
-        detail::charge_attempts(mt, p, "alg1.bstar", draws.back(), bstar_body);
-    res.bstar_steps = bstar_span.sim_elapsed();
+    // Failed attempts and their backoff included, as the span counts them.
+    const mesh::Cost bstar =
+        detail::charge_attempts(m, p, "alg1.bstar", draws.back(), bstar_body);
+    res.bstar_steps = bstar.steps;
+    res.cost += bstar;
   }
   return res;
 }

@@ -86,6 +86,7 @@
 #include "trace/trace.hpp"
 #include "util/check.hpp"
 #include "util/error.hpp"
+#include "util/parallel_for.hpp"
 
 namespace meshsearch::msearch {
 
@@ -282,10 +283,10 @@ struct SliceAttempt {
 /// service::Engine) whose fault plan is `fault` (null = none). The engine
 /// runs on a COPY of the slice in `scratch`, a buffer the caller reuses, so
 /// an attempt that throws leaves `stream` at its pre-batch checkpoint; only
-/// kDone writes back. On FaultExhaustedError the plan is degraded and the
-/// slice comes back as kReslice (at the surviving capacity) or, once
-/// slice.replans reaches max_replans, kDegraded — reported, never a silent
-/// wrong answer. With no plan, that error propagates like every other.
+/// kDone writes back, in a pool pass over fixed chunks of the slice. On
+/// FaultExhaustedError the plan is degraded and the slice comes back as
+/// kReslice (at the surviving capacity) or, once slice.replans reaches
+/// max_replans, kDegraded — reported, never a silent wrong answer. With no plan, that error propagates like every other.
 /// Requeueing, setup attribution and clocks stay with the caller.
 template <typename Engine>
 SliceAttempt run_slice(Engine& engine, mesh::FaultPlan* fault,
@@ -299,8 +300,14 @@ SliceAttempt run_slice(Engine& engine, mesh::FaultPlan* fault,
     // A fresh local, not out.report: GCC may build the return value in
     // place in an assignment target, so a throw would leave half a report.
     const BatchReport rep = engine.run_batch(scratch);
-    for (std::size_t k = 0; k < slice.indices.size(); ++k)
-      stream[slice.indices[k]] = scratch[k];
+    // Write-back on the pool: slice indices are distinct, so every stream
+    // position is written by exactly one fixed chunk.
+    util::for_fixed_chunks(
+        slice.indices.size(),
+        [&](std::size_t, std::size_t lo, std::size_t hi) {
+          for (std::size_t k = lo; k < hi; ++k)
+            stream[slice.indices[k]] = scratch[k];
+        });
     out.report = rep;
   } catch (const mesh::FaultExhaustedError&) {
     if (fault == nullptr) throw;

@@ -213,10 +213,7 @@ std::string breaker_metric(std::string_view engine, std::string_view metric);
 class SpanScope {
  public:
   SpanScope(TraceRecorder* rec, std::string_view name) : rec_(rec) {
-    if (rec_ != nullptr) {
-      sim_begin_ = rec_->total_steps();
-      rec_->begin_span(name);
-    }
+    if (rec_ != nullptr) rec_->begin_span(name);
   }
   SpanScope(const SpanScope&) = delete;
   SpanScope& operator=(const SpanScope&) = delete;
@@ -224,15 +221,8 @@ class SpanScope {
     if (rec_ != nullptr) rec_->end_span();
   }
 
-  /// Simulated steps recorded since this span opened — lets reports (e.g.
-  /// BandCostReport) read their numbers back out of the trace.
-  double sim_elapsed() const {
-    return rec_ != nullptr ? rec_->total_steps() - sim_begin_ : 0.0;
-  }
-
  private:
   TraceRecorder* rec_;
-  double sim_begin_ = 0;
 };
 
 }  // namespace meshsearch::trace

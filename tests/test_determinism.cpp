@@ -5,6 +5,7 @@
 // 1-thread (fully serial) and an 8-thread global pool and compares.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <span>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "multisearch/partitioned.hpp"
 #include "multisearch/query.hpp"
 #include "multisearch/sequential.hpp"
+#include "multisearch/stream.hpp"
 #include "service/engine.hpp"
 #include "service/scheduler.hpp"
 #include "service/tenant.hpp"
@@ -94,6 +96,38 @@ TEST(Determinism, Alg1GeometricPlan) {
     const auto res = hierarchical_multisearch(dag, ds::HashWalk{0}, q, m,
                                               shape, PlanKind::kGeometric);
     return RunRecord{outcomes(q), res.cost, rec.counters()};
+  });
+}
+
+TEST(Determinism, WarmStreamAlg1) {
+  // A warm Algorithm-1 engine under StreamScheduler with the locality
+  // order: each batch is a scattered set of stream positions, so the
+  // parallel write-back scatters into non-contiguous positions, and the
+  // parallel reset runs on batches of several thousand queries.
+  util::Rng rng(14);
+  const auto g = ds::build_hierarchical_dag(3000, 2.0, 3, rng);
+  const HierarchicalDag dag(g, 2.0);
+  const auto shape = g.shape_for(g.vertex_count());
+  auto qs = make_queries(3 * shape.size() + 101);
+  util::Rng qrng(15);
+  for (auto& q : qs)
+    q.key[0] = static_cast<std::int64_t>(qrng.uniform(1ull << 40));
+  BatchPolicy policy;
+  policy.order = BatchOrder::kLocalityReorder;
+  const auto slices = plan_batches(qs, policy, shape.size());
+  ASSERT_GE(slices.size(), 4u);
+  ASSERT_FALSE(std::is_sorted(slices.front().begin(), slices.front().end()))
+      << "locality order should scatter a batch over the stream";
+  expect_thread_invariant([&] {
+    trace::TraceRecorder rec("counting");
+    mesh::CostModel m;
+    m.trace = &rec;
+    PreparedSearch engine(dag, PlanKind::kPaper, ds::HashWalk{0}, m, shape);
+    StreamScheduler sched(engine, policy);
+    auto stream = qs;
+    const auto res = sched.run(stream);
+    EXPECT_EQ(res.batches.size(), slices.size());
+    return RunRecord{outcomes(stream), res.total(), rec.counters()};
   });
 }
 

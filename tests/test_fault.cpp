@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
@@ -205,6 +206,23 @@ TEST(FaultPlan, DegradeHalvesCapacityButNeverBelowOne) {
   for (int i = 0; i < 20; ++i) plan.degrade();
   EXPECT_EQ(plan.effective_capacity(100), 1u);
   EXPECT_LT(plan.stats().capacity_factor, 1.0);
+}
+
+TEST(FaultPlan, DegradeStopsAtTheFactorWhereEveryCapacityIsOne) {
+  mesh::FaultConfig cfg;
+  cfg.p_phase = 0.1;
+  mesh::FaultPlan plan(cfg);
+  const std::size_t widest = std::numeric_limits<std::size_t>::max();
+  for (int i = 0; i < 63; ++i) plan.degrade();
+  EXPECT_EQ(plan.effective_capacity(widest), 2u);  // not yet at the floor
+  plan.degrade();
+  EXPECT_EQ(plan.stats().capacity_factor, mesh::kFaultMinCapacityFactor);
+  EXPECT_EQ(plan.effective_capacity(widest), 1u);
+  // Past the floor nothing moves: the factor no longer underflows to 0.
+  for (int i = 0; i < 2000; ++i) plan.degrade();
+  EXPECT_EQ(plan.stats().capacity_factor, mesh::kFaultMinCapacityFactor);
+  EXPECT_EQ(plan.effective_capacity(widest), 1u);
+  EXPECT_EQ(plan.effective_capacity(100), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -436,6 +454,66 @@ TEST(FaultRecovery, ArmedRunIsThreadCountInvariant) {
   const RunRecord parallel = run_armed();
   util::ThreadPool::set_global_threads(0);
   expect_identical(serial, parallel);
+}
+
+/// Every field of Algorithm 1's report, compared exactly.
+void expect_same_report(const HierarchicalRunResult& a,
+                        const HierarchicalRunResult& b) {
+  EXPECT_EQ(a.cost, b.cost);
+  EXPECT_EQ(a.bstar_steps, b.bstar_steps);
+  EXPECT_EQ(a.bstar_levels, b.bstar_levels);
+  EXPECT_EQ(a.total_visits, b.total_visits);
+  EXPECT_EQ(a.level_sweeps, b.level_sweeps);
+  ASSERT_EQ(a.bands.size(), b.bands.size());
+  for (std::size_t i = 0; i < a.bands.size(); ++i) {
+    const BandCostReport& x = a.bands[i];
+    const BandCostReport& y = b.bands[i];
+    EXPECT_EQ(x.lo, y.lo) << "band " << i;
+    EXPECT_EQ(x.hi, y.hi) << "band " << i;
+    EXPECT_EQ(x.vertices, y.vertices) << "band " << i;
+    EXPECT_EQ(x.grid, y.grid) << "band " << i;
+    EXPECT_EQ(x.setup_steps, y.setup_steps) << "band " << i;
+    EXPECT_EQ(x.solve_steps, y.solve_steps) << "band " << i;
+    EXPECT_EQ(x.lemma1_bound, y.lemma1_bound) << "band " << i;
+  }
+}
+
+TEST(FaultRecovery, Alg1ReportIsTheSameWithAndWithoutARecorder) {
+  // BandCostReport is summed from the charges' Costs, so attaching a trace
+  // sink changes no field — fault-free, or with retried units re-charged.
+  const Alg1Fixture fx;
+  const auto queries0 = fx.stream(fx.shape.size());
+  for (const PlanKind kind : {PlanKind::kPaper, PlanKind::kGeometric}) {
+    for (const double p_phase : {0.0, 0.3}) {
+      auto run = [&](bool traced, std::uint64_t& retries) {
+        mesh::FaultConfig cfg;
+        cfg.seed = 3;
+        cfg.p_phase = p_phase;
+        mesh::FaultPlan plan(cfg);
+        trace::TraceRecorder rec("counting");
+        mesh::CostModel m;
+        m.fault = &plan;
+        if (traced) m.trace = &rec;
+        auto q = queries0;
+        const auto res = hierarchical_multisearch(fx.dag, ds::HashWalk{0}, q,
+                                                  m, fx.shape, kind);
+        retries = plan.stats().phase_retries;
+        return res;
+      };
+      std::uint64_t untraced_retries = 0, traced_retries = 0;
+      const auto untraced = run(false, untraced_retries);
+      const auto traced = run(true, traced_retries);
+      SCOPED_TRACE(testing::Message() << "p_phase " << p_phase);
+      if (kind == PlanKind::kGeometric) {
+        EXPECT_FALSE(untraced.bands.empty());
+      }
+      if (p_phase > 0) {
+        EXPECT_GT(untraced_retries, 0u);
+      }
+      EXPECT_EQ(untraced_retries, traced_retries);
+      expect_same_report(untraced, traced);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -682,6 +760,33 @@ TEST(FaultStream, Alg1MixedOutcomeRunIsPinned) {
   const auto got = outcomes(stream), want = outcomes(oracle);
   for (std::size_t i = 0; i < stream.size(); ++i)
     EXPECT_EQ(got[i], failed[i] ? pristine[i] : want[i]) << "position " << i;
+}
+
+TEST(FaultStream, Alg1LongDegradedStreamKeepsAPositiveCapacityFactor) {
+  // A long run of exhausted slices halves the capacity factor once per
+  // slice, far past the point where every slice holds one query. The
+  // factor stops at its floor there: the slicing (and so the batch count)
+  // is what it was without the floor, and the exported gauge stays > 0.
+  const Alg1Fixture fx;
+  auto stream = fx.stream(16393);
+  mesh::FaultConfig cfg = mixed_outcome_config();
+  cfg.p_phase = 0.4;
+  mesh::FaultPlan plan(cfg);
+  trace::TraceRecorder rec("counting");
+  mesh::CostModel m;
+  m.fault = &plan;
+  PreparedSearch engine(fx.dag, PlanKind::kPaper, ds::HashWalk{0}, m,
+                        fx.shape);
+  StreamScheduler sched(engine, BatchPolicy{});
+  const auto res = sched.run(stream);
+  EXPECT_EQ(res.batches.size(), 3789u);
+  EXPECT_EQ(plan.stats().degraded_batches, 2145u);
+  EXPECT_EQ(plan.stats().capacity_factor, mesh::kFaultMinCapacityFactor);
+  EXPECT_EQ(plan.effective_capacity(engine.capacity()), 1u);
+  mesh::record_fault_metrics(&rec, plan);
+  std::map<std::string, double> metrics;
+  for (const auto& mt : rec.metrics()) metrics[mt.name] = mt.value;
+  EXPECT_GT(metrics.at("fault.capacity_factor"), 0.0);
 }
 
 TEST(FaultStream, FaultMetricsExportedOnlyWhenArmed) {

@@ -20,6 +20,7 @@
 #include "multisearch/setup.hpp"
 #include "multisearch/stream.hpp"
 #include "trace/export.hpp"
+#include "trace/stats.hpp"
 #include "trace/trace.hpp"
 #include "util/error.hpp"
 #include "util/parallel_for.hpp"
@@ -263,6 +264,37 @@ TEST(StreamWarm, WarmBatchesBitIdenticalToColdStandaloneRuns) {
     for (const auto idx : slices[b]) warm_batch.push_back(warm_stream[idx]);
     EXPECT_EQ(diff_outcomes(outcomes(batch), outcomes(warm_batch)), "");
   }
+}
+
+TEST(StreamWarm, UntracedBatchesObserveNoWallHistogram) {
+  // With the global stats registry on and no recorder attached, a warm
+  // batch records nothing: no span runs, so no wall.phase.* histogram is
+  // observed — for Algorithm 1 exactly as for Algorithm 2.
+  auto& registry = stats::StatsRegistry::global();
+  const bool stats_were_enabled = registry.enabled();
+  registry.set_enabled(true);
+  auto wall_observations = [&] {
+    std::uint64_t n = 0;
+    for (const auto& h : registry.snapshot().histograms)
+      if (h.name.rfind("wall.phase.", 0) == 0) n += h.hist.count();
+    return n;
+  };
+  const Alg1Fixture f1;
+  const Alg2Fixture f2;
+  const mesh::CostModel m;
+  PreparedSearch alg1(f1.dag, PlanKind::kPaper, ds::HashWalk{0}, m,
+                      f1.shape);
+  PreparedSearch alg2(EngineKind::kAlg2Alpha, f2.tree.graph(),
+                      f2.tree.alpha_splitting(), f2.tree.alpha_splitting(),
+                      f2.tree.rank_count(), m, f2.shape);
+  auto s1 = f1.stream(f1.shape.size());
+  auto s2 = f2.stream(f2.shape.size());
+  const std::uint64_t before = wall_observations();
+  alg2.run_batch(s2);
+  EXPECT_EQ(wall_observations(), before) << "Algorithm 2";
+  alg1.run_batch(s1);
+  EXPECT_EQ(wall_observations(), before) << "Algorithm 1";
+  registry.set_enabled(stats_were_enabled);
 }
 
 TEST(StreamWarm, SecondStreamOnWarmEngineChargesNoSetup) {
@@ -1099,6 +1131,55 @@ TEST(StreamSlice, OtherErrorsPropagateAndLeaveTheStreamUntouched) {
   EXPECT_EQ(plan.stats().capacity_factor, 1.0);
   EXPECT_EQ(plan.stats().replanned_batches, 0u);
   EXPECT_EQ(plan.stats().degraded_batches, 0u);
+}
+
+TEST(StreamSlice, PermutedSliceWiderThanTheFixedChunksWritesEachPositionBack) {
+  // More slice positions than util::kFixedChunks, in a shuffled order, on a
+  // 4-thread pool: the write-back runs as a parallel scatter, and every
+  // position must receive its own query's result.
+  util::ThreadPool::set_global_threads(4);
+  ScriptedEngine engine;
+  engine.cap = 8192;
+  const std::size_t n = 6000;
+  std::vector<std::uint32_t> order(n);
+  for (std::uint32_t i = 0; i < n; ++i) order[i] = i;
+  util::Rng rng(41);
+  for (std::size_t i = n - 1; i > 0; --i)
+    std::swap(order[i], order[rng.uniform(i + 1)]);
+  order.resize(4500);
+  std::vector<bool> in_slice(n, false);
+  for (const auto i : order) in_slice[i] = true;
+
+  auto stream = make_queries(n);
+  const auto before = outcomes(stream);
+  std::vector<Query> scratch;
+  const SliceAttempt a =
+      run_slice(engine, nullptr, stream, slice_of(order), scratch);
+  EXPECT_EQ(a.outcome, SliceOutcome::kDone);
+  EXPECT_EQ(a.report.size, order.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(stream[i].qid, static_cast<std::int32_t>(i)) << "position " << i;
+    EXPECT_EQ(stream[i].result,
+              in_slice[i] ? 1000 + static_cast<std::int32_t>(i)
+                          : before[i].result)
+        << "position " << i;
+    EXPECT_EQ(stream[i].steps, before[i].steps + (in_slice[i] ? 1 : 0))
+        << "position " << i;
+  }
+
+  // A throwing engine leaves the stream at its checkpoint, re-sliced or
+  // propagated alike.
+  const auto checkpoint = outcomes(stream);
+  mesh::FaultPlan plan(failing_config());
+  engine.fail = ScriptedEngine::Fail::kFaultExhausted;
+  EXPECT_EQ(run_slice(engine, &plan, stream, slice_of(order), scratch).outcome,
+            SliceOutcome::kReslice);
+  EXPECT_EQ(diff_outcomes(outcomes(stream), checkpoint), "");
+  engine.fail = ScriptedEngine::Fail::kStale;
+  EXPECT_THROW(run_slice(engine, &plan, stream, slice_of(order), scratch),
+               StaleEngineError);
+  EXPECT_EQ(diff_outcomes(outcomes(stream), checkpoint), "");
+  util::ThreadPool::set_global_threads(0);
 }
 
 TEST(StreamSlice, RealEngineResliceCapacityIsTheSurvivingCapacity) {

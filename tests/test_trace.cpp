@@ -73,7 +73,6 @@ TEST(TraceRecorder, SpansNestAndMeasureSimTime) {
     {
       trace::SpanScope inner(&rec, "inner");
       rec.count(Primitive::kScan, 16, 5.0);
-      EXPECT_DOUBLE_EQ(inner.sim_elapsed(), 5.0);
     }
   }
   const auto spans = rec.spans();
@@ -160,8 +159,7 @@ TEST(TraceRecorder, SpanOwnershipResetsWhenStackEmpties) {
 }
 
 TEST(TraceRecorder, NullSinkSpanScopeIsNoop) {
-  trace::SpanScope s(nullptr, "nothing");
-  EXPECT_DOUBLE_EQ(s.sim_elapsed(), 0.0);
+  EXPECT_NO_THROW({ trace::SpanScope s(nullptr, "nothing"); });
 }
 
 // --- Attribution sums to the charged total on real algorithm runs. --------
