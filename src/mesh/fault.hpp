@@ -22,16 +22,19 @@
 //   * cycle engine, lockstep primitives (shearsort / scan / broadcast): a
 //     failed or corrupted step is detected and retried, adding steps under
 //     the same primitive label the fault-free run records.
-//   * counting engine, phase draws: the multisearch engines checkpoint
-//     their inputs per phase (Alg 1 steps 0-4, Constrained steps 1-6 as one
-//     unit, Alg 2/3 per log-phase step) and ask draw_phase() how many
-//     attempts fail before one succeeds. An attempt fails if the phase
-//     draw fires (p_phase) or the end-of-phase checksum audit detects
-//     transit corruption (p_corrupt, an independent draw). Failed attempts
-//     re-run (and re-charge) the phase; the exponential backoff wait
-//     between attempts is charged under trace::Primitive::kBackoff. A
-//     phase that fails max_retries + 1 times throws FaultExhaustedError;
-//     the stream scheduler catches it, degrades capacity and re-plans.
+//   * counting engine, phase draws: the multisearch engines ask
+//     draw_phase() how many attempts of each phase (Alg 1 step 0, each
+//     band and B*; Alg 2/3 per log-phase step, a Constrained-Multisearch
+//     call being one unit) fail before one succeeds. An attempt fails if
+//     the phase draw fires (p_phase) or the end-of-phase checksum audit
+//     detects transit corruption (p_corrupt, an independent draw). The
+//     host work of a phase runs once; each failed attempt re-charges the
+//     phase's mesh time, and the exponential backoff wait between attempts
+//     is charged under trace::Primitive::kBackoff (multisearch/
+//     recovery.hpp). A phase that fails max_retries + 1 times throws
+//     FaultExhaustedError after its host work; the stream scheduler, whose
+//     batch copy is the checkpoint, catches it, degrades capacity and
+//     re-plans.
 //
 // The fault-free contract: a default-constructed (disarmed) FaultPlan, or
 // a null CostModel::fault / Grid fault pointer, changes NOTHING — outcomes,

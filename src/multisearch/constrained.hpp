@@ -21,6 +21,12 @@
 // `duplicate_copies = false` disables the Gamma machinery (one copy per
 // piece) for the congestion ablation E7: a copy serving q queries then
 // timeshares, multiplying round cost by ceil(q / submesh capacity).
+//
+// The host work and the charges are two functions: detail::constrained_pass
+// advances the queries and measures copies and rounds, and
+// detail::constrained_charges prices the steps from those. The Partitioned
+// engine runs the pass once per call and charges through recovered_phase,
+// so a failed attempt re-charges the call without re-running the pass.
 #pragma once
 
 #include <algorithm>
@@ -32,6 +38,7 @@
 #include "mesh/snake.hpp"
 #include "multisearch/graph.hpp"
 #include "multisearch/splitter.hpp"
+#include "multisearch/validate.hpp"
 #include "trace/trace.hpp"
 #include "util/check.hpp"
 #include "util/parallel_for.hpp"
@@ -39,7 +46,7 @@
 namespace meshsearch::msearch {
 
 struct ConstrainedStats {
-  mesh::Cost cost;
+  mesh::Cost cost;  ///< the call's charges (zero from constrained_pass)
   std::size_t marked = 0;    ///< queries marked in step 1
   std::size_t copies = 0;    ///< subgraph copies created in step 4
   std::size_t advanced = 0;  ///< total visits performed in step 6
@@ -60,40 +67,33 @@ inline std::size_t constrained_capacity(const Splitting& psi,
 }
 
 namespace detail {
-/// The procedure proper, with the submesh capacity supplied by the caller
-/// (constrained_capacity of the same splitting and shape).
+/// The procedure's host work: mark (step 1), Gamma (step 2), the
+/// assignment of marked queries to copies (step 5) and the step-6
+/// advancement rounds. It charges nothing and opens no span; the returned
+/// stats (cost left at zero) carry everything constrained_charges needs.
+/// `cap` is constrained_capacity of the same splitting and shape.
 template <SearchProgram P>
-ConstrainedStats constrained_multisearch_core(
-    const DistributedGraph& g, const Splitting& psi, std::size_t cap,
-    const P& prog, std::vector<Query>& queries, const mesh::CostModel& m,
-    mesh::MeshShape shape, bool duplicate_copies) {
+ConstrainedStats constrained_pass(const DistributedGraph& g,
+                                  const Splitting& psi, std::size_t cap,
+                                  const P& prog, std::vector<Query>& queries,
+                                  mesh::MeshShape shape,
+                                  bool duplicate_copies) {
   ConstrainedStats st;
-  const double p = static_cast<double>(shape.size());
-  const double s_sub =
-      static_cast<double>(mesh::MeshShape::for_elements(cap).size());
 
-  TRACE_SPAN(m.trace, "constrained-multisearch");
-
-  // Step 1: mark. Fetching piece(v(q)) is one RAR over the whole mesh.
+  // Step 1: mark the queries whose current vertex lies in some piece.
   std::vector<std::uint32_t> marked_idx;
-  {
-    TRACE_SPAN(m.trace, "cm.step1: mark queries");
-    st.cost += m.rar(p);
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      const Query& q = queries[i];
-      if (q.done || q.current == kNoVertex) continue;
-      if (psi.piece[static_cast<std::size_t>(q.current)] < 0) continue;
-      marked_idx.push_back(static_cast<std::uint32_t>(i));
-    }
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const Query& q = queries[i];
+    if (q.done || q.current == kNoVertex) continue;
+    if (psi.piece[static_cast<std::size_t>(q.current)] < 0) continue;
+    marked_idx.push_back(static_cast<std::uint32_t>(i));
   }
   st.marked = marked_idx.size();
 
-  // Step 2: Gamma_i = ceil(#queries in G_i / n^delta). RAW + scan.
+  // Step 2: Gamma_i = ceil(#queries in G_i / n^delta).
   std::vector<std::size_t> gamma(psi.num_pieces(), 0);
   std::size_t total_copies = 0;
   {
-    TRACE_SPAN(m.trace, "cm.step2: compute Gamma");
-    st.cost += m.raw(p) + m.scan(p);
     std::vector<std::size_t> load(psi.num_pieces(), 0);
     for (const auto i : marked_idx)
       ++load[static_cast<std::size_t>(
@@ -105,20 +105,7 @@ ConstrainedStats constrained_multisearch_core(
     }
   }
   st.copies = total_copies;
-
-  // Step 3: emptiness test (reduction).
-  {
-    TRACE_SPAN(m.trace, "cm.step3: emptiness test");
-    st.cost += m.reduce(p);
-  }
-  if (total_copies == 0) return st;
-
-  // Step 4: create the copies and place them in delta-submeshes — a constant
-  // number of standard mesh operations (Lemma 3 proof).
-  {
-    TRACE_SPAN(m.trace, "cm.step4: create copies");
-    st.cost += m.sort(p) + m.route(p);
-  }
+  if (total_copies == 0) return st;  // step 3's emptiness test
 
   // Step 5: move marked queries to copies, <= cap queries per copy. The
   // copy -> queries map is CSR (one flat array + offsets) rather than a
@@ -127,8 +114,6 @@ ConstrainedStats constrained_multisearch_core(
   std::vector<std::size_t> copy_off(total_copies + 1, 0);
   std::vector<std::uint32_t> copy_data;
   {
-    TRACE_SPAN(m.trace, "cm.step5: distribute queries");
-    st.cost += m.sort(p) + m.scan(p) + m.route(p);
     // Assignment: queries of piece i round-robin over its gamma_i copies.
     // copy_base[pc] = id of the first copy of piece pc.
     std::vector<std::size_t> copy_base(psi.num_pieces() + 1, 0);
@@ -153,11 +138,10 @@ ConstrainedStats constrained_multisearch_core(
     }
   }
 
-  // Step 6: local advancement rounds, parallel over copies. Each round is a
-  // local RAR inside the delta-submesh. A copy stops when its queries all
-  // unmarked; the procedure caps rounds at log2(n).
-  const std::size_t max_rounds =
-      static_cast<std::size_t>(std::floor(std::log2(std::max<double>(2.0, p))));
+  // Step 6: local advancement rounds, parallel over copies. A copy stops
+  // when its queries all unmarked; the procedure caps rounds at log2(n).
+  const std::size_t max_rounds = static_cast<std::size_t>(std::floor(
+      std::log2(std::max<double>(2.0, static_cast<double>(shape.size())))));
   std::vector<std::size_t> rounds_used(total_copies, 0);
   std::vector<std::size_t> visits(total_copies, 0);
   std::vector<std::size_t> batches(total_copies, 1);
@@ -197,22 +181,64 @@ ConstrainedStats constrained_multisearch_core(
     rounds_used[c] = r;
   });
 
-  std::size_t worst = 0;
   for (std::size_t c = 0; c < total_copies; ++c) {
-    worst = std::max(worst, rounds_used[c] * batches[c]);
+    st.rounds = std::max(st.rounds, rounds_used[c] * batches[c]);
     st.advanced += visits[c];
   }
-  st.rounds = worst;
-  {
-    TRACE_SPAN(m.trace, "cm.step6: local advancement rounds");
-    st.cost += m.rar(s_sub, static_cast<double>(worst));
-  }
-
-  // Step 7: discard copies — no mesh time.
+  // Step 7: discard copies — no host work, no mesh time.
   return st;
+}
+
+/// The mesh time of one Constrained-Multisearch call whose host pass
+/// returned `st`: each step's charges under its cm.step span, in step
+/// order, stopping after step 3 when no copy was made. A pure function of
+/// (st.copies, st.rounds, cap, p), so a retried call re-charges without
+/// re-running the pass. `p` is the mesh size and `cap` the pass's
+/// constrained_capacity.
+inline mesh::Cost constrained_charges(const ConstrainedStats& st,
+                                      std::size_t cap,
+                                      const mesh::CostModel& m, double p) {
+  mesh::Cost cost;
+  TRACE_SPAN(m.trace, "constrained-multisearch");
+  {
+    // Fetching piece(v(q)) is one RAR over the whole mesh.
+    TRACE_SPAN(m.trace, "cm.step1: mark queries");
+    cost += m.rar(p);
+  }
+  {
+    TRACE_SPAN(m.trace, "cm.step2: compute Gamma");
+    cost += m.raw(p) + m.scan(p);
+  }
+  {
+    TRACE_SPAN(m.trace, "cm.step3: emptiness test");
+    cost += m.reduce(p);
+  }
+  if (st.copies == 0) return cost;
+  {
+    // Create the copies and place them in delta-submeshes — a constant
+    // number of standard mesh operations (Lemma 3 proof).
+    TRACE_SPAN(m.trace, "cm.step4: create copies");
+    cost += m.sort(p) + m.route(p);
+  }
+  {
+    TRACE_SPAN(m.trace, "cm.step5: distribute queries");
+    cost += m.sort(p) + m.scan(p) + m.route(p);
+  }
+  {
+    // Each round is a local RAR inside a delta-submesh; the slowest copy
+    // sets the time.
+    TRACE_SPAN(m.trace, "cm.step6: local advancement rounds");
+    const double s_sub =
+        static_cast<double>(mesh::MeshShape::for_elements(cap).size());
+    cost += m.rar(s_sub, static_cast<double>(st.rounds));
+  }
+  return cost;
 }
 }  // namespace detail
 
+/// Front door: validate the graph, the family Psi (piece id -1 stays legal:
+/// Psi is a family of pieces, not a partition) and the batch size before
+/// anything runs, then one host pass and its charges.
 template <SearchProgram P>
 ConstrainedStats constrained_multisearch(const DistributedGraph& g,
                                          const Splitting& psi, const P& prog,
@@ -220,9 +246,17 @@ ConstrainedStats constrained_multisearch(const DistributedGraph& g,
                                          const mesh::CostModel& m,
                                          mesh::MeshShape shape,
                                          bool duplicate_copies = true) {
-  return detail::constrained_multisearch_core(
-      g, psi, constrained_capacity(psi, shape), prog, queries, m, shape,
-      duplicate_copies);
+  constexpr const char* kEngine = "constrained";
+  validate_graph(g, kEngine);
+  validate_piece_family(g, psi, kEngine);
+  validate_graph_fits(g, shape, kEngine);
+  validate_batch_size(queries.size(), shape.size(), kEngine);
+  const std::size_t cap = constrained_capacity(psi, shape);
+  ConstrainedStats st = detail::constrained_pass(g, psi, cap, prog, queries,
+                                                 shape, duplicate_copies);
+  st.cost = detail::constrained_charges(st, cap, m,
+                                        static_cast<double>(shape.size()));
+  return st;
 }
 
 }  // namespace meshsearch::msearch

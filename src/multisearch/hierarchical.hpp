@@ -19,7 +19,11 @@
 // query is live), which matches the worst case the theorem bounds. Data
 // advancement uses the shared master graph: all copies of a band are
 // identical, so sharing host memory changes nothing observable (see
-// constrained.hpp for the same argument).
+// constrained.hpp for the same argument). The host therefore walks every
+// query through all levels in one data pass; the bands shape only the
+// charges. Under an armed fault plan the pass runs once and
+// hierarchical_cost re-charges failed units, so an exhausted unit throws
+// after the pass has advanced the queries.
 #pragma once
 
 #include <algorithm>
@@ -186,15 +190,15 @@ HierarchicalRunResult hierarchical_multisearch(
 // ---------------------------------------------------------------------------
 
 namespace detail {
-/// Advance every query through levels [.., hi] of the DAG (data pass only;
-/// costs are analytic). Host-parallel over query chunks, each with its own
-/// per-level visit histogram; `sweeps[l]` is raised to the max visits any
-/// query spent at level l. Returns total visits. visit_cap guards against a
-/// program cycling forever inside a level.
+/// Advance every query through all levels of the DAG to the end of its
+/// path (data pass only; costs are analytic). Host-parallel over query
+/// chunks, each with its own per-level visit maxima; `sweeps[l]` is raised
+/// to the max visits any query spent at level l. Returns total visits.
+/// visit_cap guards against a program cycling forever inside a level.
 template <SearchProgram P>
 std::size_t advance_through_levels(const DistributedGraph& g, const P& prog,
                                    std::vector<Query>& queries,
-                                   std::int32_t hi, std::size_t visit_cap,
+                                   std::size_t visit_cap,
                                    std::vector<std::int32_t>& sweeps) {
   // Chunking is FIXED (util::kFixedChunks, not thread-count-derived) so the
   // per-chunk reductions below are bit-identical at any MESHSEARCH_THREADS
@@ -219,7 +223,7 @@ std::size_t advance_through_levels(const DistributedGraph& g, const P& prog,
     // engine front door), a query's visits at one level form a single
     // contiguous run — run_len IS the per-(query, level) visit count the
     // old per_level histogram tracked, flushed into chunk_max when the
-    // level changes or the query leaves the band.
+    // level changes or the query's path ends.
     std::vector<std::uint32_t> live;
     std::vector<std::int32_t> run_lvl, run_len;
     live.reserve(hi_q - lo_q);
@@ -241,32 +245,22 @@ std::size_t advance_through_levels(const DistributedGraph& g, const P& prog,
         Query& q = queries[qi];
         std::int32_t rl = run_lvl[k];
         std::int32_t rn = run_len[k];
-        bool keep = false;
         MS_CHECK_MSG(static_cast<std::size_t>(q.steps) <= visit_cap,
                      "query exceeded the per-level work bound");
-        // Peek the level of the vertex the query would visit next.
-        // (start() is required to be pure, so peeking is safe.)
-        const Vid peek = q.current == kNoVertex ? prog.start(q) : q.next;
-        if (peek == kNoVertex) {
-          q.done = true;
-        } else {
-          const std::int32_t lvl = g.vert(peek).level;
-          // lvl > hi: belongs to a later band; drop from this pass.
-          if (lvl <= hi && advance_one(g, prog, q)) {
-            if (lvl != rl) {
-              MS_DCHECK(lvl > rl);  // monotone levels => contiguous runs
-              if (rn > 0)
-                chunk_max[static_cast<std::size_t>(rl)] =
-                    std::max(chunk_max[static_cast<std::size_t>(rl)], rn);
-              rl = lvl;
-              rn = 0;
-            }
-            ++rn;
-            ++chunk_total;
-            keep = true;
+        // advance_one flags `done` when the path has ended.
+        if (advance_one(g, prog, q)) {
+          // The record advance_one just read is still in cache.
+          const std::int32_t lvl = g.vert(q.current).level;
+          if (lvl != rl) {
+            MS_DCHECK(lvl > rl);  // monotone levels => contiguous runs
+            if (rn > 0)
+              chunk_max[static_cast<std::size_t>(rl)] =
+                  std::max(chunk_max[static_cast<std::size_t>(rl)], rn);
+            rl = lvl;
+            rn = 0;
           }
-        }
-        if (keep) {
+          ++rn;
+          ++chunk_total;
           live[w] = qi;
           run_lvl[w] = rl;
           run_len[w] = rn;
@@ -312,20 +306,18 @@ HierarchicalRunResult hierarchical_core(
   const std::size_t visit_cap =
       static_cast<std::size_t>(dag.height() + 2) *
       static_cast<std::size_t>(4 * dag.level_work() + 8);
-  // Data pass, band by band, measuring the realized per-level sweep counts
-  // (the lockstep machine repeats each level sweep until every query has
-  // advanced past the level). Charges no simulated steps; the span records
-  // its wall-clock time for the host-side profile.
+  // One data pass through every level, measuring the realized per-level
+  // sweep counts (the lockstep machine repeats each level sweep until every
+  // query has advanced past the level). The bands shape only the charges: a
+  // query's visits per level are the same in one pass as band by band.
+  // Charges no simulated steps; the span records its wall-clock time for
+  // the host-side profile.
   std::vector<std::int32_t> sweeps(static_cast<std::size_t>(dag.height()) + 1,
                                    0);
   std::size_t total_visits = 0;
   {
     TRACE_SPAN(m.trace, "alg1.data pass (host)");
-    for (const Band& band : plan.bands)
-      total_visits += advance_through_levels(g, prog, queries, band.hi,
-                                             visit_cap, sweeps);
-    total_visits += advance_through_levels(g, prog, queries, dag.height(),
-                                           visit_cap, sweeps);
+    total_visits = advance_through_levels(g, prog, queries, visit_cap, sweeps);
   }
   for (auto& s : sweeps) s = std::max(s, 1);
   HierarchicalRunResult res =

@@ -11,6 +11,11 @@
 // For Algorithm 3, Psi_A = G(S_1) and Psi_B = G(S_2).
 // The driver iterates log-phases until every search path has terminated,
 // ceil(r / log n) times for longest path r (Theorems 5 and 7).
+//
+// Under an armed fault plan each step is one recovery unit: its host work
+// runs once, then recovered_phase draws its retries and re-charges every
+// failed attempt plus backoff. A step that exhausts its retries throws
+// FaultExhaustedError after its host work has advanced the queries.
 #pragma once
 
 #include <string>
@@ -65,62 +70,33 @@ PartitionedRunResult partitioned_core(const DistributedGraph& g,
   std::vector<Query> shadow;
   if (paranoid) shadow = queries;
   TRACE_SPAN(m.trace, "partitioned multisearch");
+  // Each step advances the queries once, then charges through
+  // recovered_phase, which re-charges failed attempts (recovery.hpp).
+  const auto global_step = [&](const char* span, const char* unit) {
+    trace::SpanScope s(m.trace, span);
+    res.total_visits += global_multistep(g, prog, queries);
+    res.cost += recovered_phase(m, p, unit, [&] { return m.rar(p); });
+  };
+  // The whole Constrained-Multisearch call (its steps 1-6) is one unit.
+  const auto constrained_step = [&](const char* span, const char* unit,
+                                    const Splitting& psi, std::size_t cap) {
+    trace::SpanScope s(m.trace, span);
+    const ConstrainedStats st = constrained_pass(g, psi, cap, prog, queries,
+                                                 shape, duplicate_copies);
+    res.cost += recovered_phase(
+        m, p, unit, [&] { return constrained_charges(st, cap, m, p); });
+    res.total_visits += st.advanced;
+    res.copies += st.copies;
+  };
   while (!all_done(queries)) {
     trace::SpanScope phase_span(
         m.trace, "log-phase " + std::to_string(res.log_phases));
-    // Each step checkpoints `queries` via detail::recovered_phase: a failed
-    // attempt re-runs (and re-charges) the step, then state rolls back, so
-    // the visit/advance counters written inside the bodies always hold the
-    // final successful attempt's values.
-    {
-      // Step 1: visit first/next node.
-      trace::SpanScope s(m.trace, "phase.step1: global multistep");
-      std::size_t advanced = 0;
-      res.cost += recovered_phase(m, p, "phase.step1", queries, [&] {
-        advanced = global_multistep(g, prog, queries);
-        return m.rar(p);
-      });
-      res.total_visits += advanced;
-    }
-    {
-      // Step 2. The whole Constrained-Multisearch call (its steps 1-6) is
-      // one checkpoint unit.
-      trace::SpanScope s(m.trace, "phase.step2: constrained(Psi_A)");
-      std::size_t advanced = 0, copies = 0;
-      res.cost += recovered_phase(m, p, "phase.step2", queries, [&] {
-        const auto s2 = constrained_multisearch_core(
-            g, psi_a, cap_a, prog, queries, m, shape, duplicate_copies);
-        advanced = s2.advanced;
-        copies = s2.copies;
-        return s2.cost;
-      });
-      res.total_visits += advanced;
-      res.copies += copies;
-    }
-    {
-      // Step 3.
-      trace::SpanScope s(m.trace, "phase.step3: global multistep");
-      std::size_t advanced = 0;
-      res.cost += recovered_phase(m, p, "phase.step3", queries, [&] {
-        advanced = global_multistep(g, prog, queries);
-        return m.rar(p);
-      });
-      res.total_visits += advanced;
-    }
-    {
-      // Step 4.
-      trace::SpanScope s(m.trace, "phase.step4: constrained(Psi_B)");
-      std::size_t advanced = 0, copies = 0;
-      res.cost += recovered_phase(m, p, "phase.step4", queries, [&] {
-        const auto s4 = constrained_multisearch_core(
-            g, psi_b, cap_b, prog, queries, m, shape, duplicate_copies);
-        advanced = s4.advanced;
-        copies = s4.copies;
-        return s4.cost;
-      });
-      res.total_visits += advanced;
-      res.copies += copies;
-    }
+    global_step("phase.step1: global multistep", "phase.step1");
+    constrained_step("phase.step2: constrained(Psi_A)", "phase.step2", psi_a,
+                     cap_a);
+    global_step("phase.step3: global multistep", "phase.step3");
+    constrained_step("phase.step4: constrained(Psi_B)", "phase.step4", psi_b,
+                     cap_b);
     res.constrained_calls += 2;
     ++res.log_phases;
     // Termination check: a reduction over query flags.

@@ -1,26 +1,27 @@
-// Phase-level checkpoint/retry for the multisearch engines.
+// Phase-level retry for the multisearch engines.
 //
-// The engines advance query state in discrete phases (Alg 1 steps 0-4 and
-// per-band sweeps; Alg 2/3 log-phase steps 1-4, where steps 2/4 treat one
-// whole Constrained-Multisearch call as the checkpoint unit). Each phase is
-// a pure function of its input query state, so recovery is simple: snapshot
-// the state, run the phase, and if the fault oracle says the attempt failed,
-// restore the snapshot and re-run after an exponential backoff wait. Failed
-// attempts are charged in full (the mesh really did the work) and the
-// backoff wait is charged under trace::Primitive::kBackoff, so the armed
-// cost model prices recovery instead of hiding it. Algorithm 1 draws all of
-// its units up front (hierarchical_cost) and charges each through the same
-// charge_attempts helper.
+// The engines advance query state in discrete phases (Alg 1 step 0, each
+// band and B*; Alg 2/3 log-phase steps 1-4, where steps 2/4 treat one whole
+// Constrained-Multisearch call as one unit). A phase's charges are a pure
+// function of known quantities (band geometry and realized sweeps;
+// Constrained-Multisearch's copies and rounds), and a failed attempt would
+// repeat the host work exactly. So the host work runs once and only the
+// charges repeat: each failed attempt is re-charged in full (the mesh
+// really did the work) under a "fault.retry <unit>" span, then the backoff
+// wait is charged under trace::Primitive::kBackoff, so the armed cost model
+// prices recovery instead of hiding it. Algorithm 1 draws all of its units
+// after its data pass (hierarchical_cost); Alg 2/3 draw each step after its
+// host work (recovered_phase). Either way an exhausted unit throws
+// FaultExhaustedError after the batch's queries have advanced; the caller's
+// batch copy (run_slice) is the checkpoint that keeps the stream untouched.
 //
 // With a null or disarmed CostModel::fault, recovered_phase is exactly
-// `return body();` — no snapshot, no extra charges, no extra spans — which
-// is what keeps fault-free runs bit-identical to a build without the fault
-// layer.
+// `return body();` — no extra charges, no extra spans — which keeps
+// fault-free runs bit-identical to a build without the fault layer.
 #pragma once
 
 #include <string>
 #include <string_view>
-#include <utility>
 
 #include "mesh/cost.hpp"
 #include "mesh/fault.hpp"
@@ -49,7 +50,7 @@ mesh::Cost charge_attempts(const mesh::CostModel& m, double p,
   return cost;
 }
 
-/// Run one phase whose body is a pure cost computation under the fault
+/// Charge one phase whose body is a pure cost computation under the fault
 /// oracle: draw its retries, then charge_attempts. Propagates
 /// FaultExhaustedError from draw_phase when the retry budget is exhausted.
 template <typename Body>
@@ -57,24 +58,6 @@ mesh::Cost recovered_phase(const mesh::CostModel& m, double p,
                            std::string_view name, Body&& body) {
   if (m.fault == nullptr || !m.fault->armed()) return body();
   return charge_attempts(m, p, name, m.fault->draw_phase(name), body);
-}
-
-/// Run one phase that advances `state` (its checkpoint, typically the query
-/// vector) under the fault oracle. Every attempt starts from the snapshot
-/// taken before the first, so a failed attempt's progress is discarded;
-/// out-parameters written by `body` are safe because the final attempt
-/// writes them last. Propagates FaultExhaustedError like the overload above.
-template <typename State, typename Body>
-mesh::Cost recovered_phase(const mesh::CostModel& m, double p,
-                           std::string_view name, State& state, Body&& body) {
-  if (m.fault == nullptr || !m.fault->armed()) return body();
-  const mesh::PhaseDraw draw = m.fault->draw_phase(name);
-  if (draw.failed_attempts == 0) return body();
-  const State snapshot = state;
-  return charge_attempts(m, p, name, draw, [&] {
-    state = snapshot;
-    return body();
-  });
 }
 
 }  // namespace meshsearch::msearch::detail

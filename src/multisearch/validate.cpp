@@ -80,20 +80,26 @@ void validate_hierarchical_graph(const DistributedGraph& g,
     }
 }
 
-void validate_splitting_input(const DistributedGraph& g, const Splitting& s,
-                              const char* engine) {
+void validate_piece_family(const DistributedGraph& g, const Splitting& s,
+                           const char* engine) {
   if (s.piece.size() != g.vertex_count())
     invalid_input("splitting size != vertex count", engine);
-  for (std::size_t v = 0; v < s.piece.size(); ++v) {
+  const auto pieces = static_cast<std::int64_t>(s.num_pieces());
+  for (std::size_t v = 0; v < s.piece.size(); ++v)
+    if (s.piece[v] < -1 || s.piece[v] >= pieces)
+      invalid_input("vertex " + std::to_string(v) +
+                        " assigned an out-of-range piece",
+                    engine);
+}
+
+void validate_splitting_input(const DistributedGraph& g, const Splitting& s,
+                              const char* engine) {
+  validate_piece_family(g, s, engine);
+  for (std::size_t v = 0; v < s.piece.size(); ++v)
     if (s.piece[v] < 0)
       invalid_input("vertex " + std::to_string(v) +
                         " not covered by any piece",
                     engine);
-    if (static_cast<std::size_t>(s.piece[v]) >= s.num_pieces())
-      invalid_input("vertex " + std::to_string(v) +
-                        " assigned an out-of-range piece",
-                    engine);
-  }
 }
 
 void validate_graph_fits(const DistributedGraph& g, mesh::MeshShape shape,

@@ -63,7 +63,13 @@ void validate_graph(const DistributedGraph& g, const char* engine);
 void validate_hierarchical_graph(const DistributedGraph& g,
                                  std::int32_t level_work);
 
-/// Splitting shape: one piece id per vertex, all ids in range. Alpha/beta
+/// Family shape (Constrained-Multisearch's Psi): one piece id per vertex,
+/// each in [-1, num_pieces), where -1 puts the vertex in no piece. Throws
+/// InvalidInputError.
+void validate_piece_family(const DistributedGraph& g, const Splitting& s,
+                           const char* engine);
+
+/// Splitting shape: a piece family that covers every vertex. Alpha/beta
 /// edge conditions stay in validate_alpha_splitting (they are structural
 /// theorems about the splitting, checked where it is built). Throws
 /// InvalidInputError.

@@ -79,50 +79,6 @@ double LogHistogram::percentile(double q) const {
   return max_;
 }
 
-Summary summarize(std::span<const double> xs) {
-  // No full sort: moments come from linear passes, the exact median from a
-  // selection (nth_element), and p50-p99 from LogHistogram — which is THE
-  // percentile implementation (bucketed estimates, same path the streaming
-  // wall-clock stats use), not a second exact one to keep in sync.
-  Summary s;
-  s.count = xs.size();
-  if (xs.empty()) return s;
-  const auto [mn, mx] = std::minmax_element(xs.begin(), xs.end());
-  s.min = *mn;
-  s.max = *mx;
-  double sum = 0;
-  LogHistogram h;
-  for (double x : xs) {
-    sum += x;
-    h.observe(x);
-  }
-  s.mean = sum / static_cast<double>(xs.size());
-  double var = 0;
-  for (double x : xs) var += (x - s.mean) * (x - s.mean);
-  s.stddev = xs.size() > 1
-                 ? std::sqrt(var / static_cast<double>(xs.size() - 1))
-                 : 0.0;
-  std::vector<double> sel(xs.begin(), xs.end());
-  const std::size_t mid = sel.size() / 2;
-  std::nth_element(sel.begin(),
-                   sel.begin() + static_cast<std::ptrdiff_t>(mid), sel.end());
-  if (sel.size() % 2 == 1) {
-    s.median = sel[mid];
-  } else {
-    // nth_element leaves the lower half (unordered) before `mid`; its max
-    // is the other middle order statistic.
-    const double lo =
-        *std::max_element(sel.begin(),
-                          sel.begin() + static_cast<std::ptrdiff_t>(mid));
-    s.median = 0.5 * (lo + sel[mid]);
-  }
-  s.p50 = h.p50();
-  s.p90 = h.p90();
-  s.p95 = h.p95();
-  s.p99 = h.p99();
-  return s;
-}
-
 LinearFit fit_linear(std::span<const double> xs, std::span<const double> ys) {
   MS_CHECK(xs.size() == ys.size());
   MS_CHECK(xs.size() >= 2);
@@ -160,19 +116,6 @@ PowerFit fit_power(std::span<const double> xs, std::span<const double> ys) {
   }
   const LinearFit lf = fit_linear(lx, ly);
   return PowerFit{lf.intercept, lf.slope, lf.r2};
-}
-
-std::vector<std::size_t> geometric_sizes(std::size_t base, double ratio,
-                                         std::size_t count) {
-  MS_CHECK(base > 0 && ratio > 1.0);
-  std::vector<std::size_t> sizes;
-  sizes.reserve(count);
-  double n = static_cast<double>(base);
-  for (std::size_t i = 0; i < count; ++i) {
-    sizes.push_back(static_cast<std::size_t>(n));
-    n *= ratio;
-  }
-  return sizes;
 }
 
 }  // namespace meshsearch::util

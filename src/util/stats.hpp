@@ -1,14 +1,14 @@
 // Small statistics toolkit shared by the benchmark harness and the runtime
-// observability layer: summary statistics, ordinary-least-squares fits
-// (notably the log-log power-law fit used to verify the paper's growth-rate
-// claims, e.g. slope ~ 0.5 for O(sqrt n)), and the log-bucketed histogram
-// that is the ONE implementation of percentile math in this repo.
+// observability layer: ordinary-least-squares fits (notably the log-log
+// power-law fit used to verify the paper's growth-rate claims, e.g. slope
+// ~ 0.5 for O(sqrt n)), and the log-bucketed histogram that is the ONE
+// implementation of percentile math in this repo.
 //
 // Every consumer of percentiles — the StatsRegistry histograms
 // (trace/stats.hpp), the service's per-tenant latency reports
-// (service/tenant.hpp), Summary's p50/p90/p95/p99 fields, and the
-// BENCH_*.json emitter (bench/bench_common.hpp) — goes through LogHistogram,
-// so bench CSVs and BENCH_*.json can never disagree on what "p95" means.
+// (service/tenant.hpp) and the BENCH_*.json emitter
+// (bench/bench_common.hpp) — goes through LogHistogram, so bench CSVs and
+// BENCH_*.json can never disagree on what "p95" means.
 #pragma once
 
 #include <array>
@@ -76,16 +76,6 @@ class LogHistogram {
   double max_ = 0;
 };
 
-struct Summary {
-  double min = 0, max = 0, mean = 0, stddev = 0, median = 0;
-  // Bucketed percentiles via LogHistogram — the shared percentile math
-  // (median above stays the exact sorted median for backward compatibility).
-  double p50 = 0, p90 = 0, p95 = 0, p99 = 0;
-  std::size_t count = 0;
-};
-
-Summary summarize(std::span<const double> xs);
-
 /// Ordinary least squares y = a + b*x. Returns {a, b, r2}.
 struct LinearFit {
   double intercept = 0;
@@ -104,9 +94,5 @@ struct PowerFit {
 };
 
 PowerFit fit_power(std::span<const double> xs, std::span<const double> ys);
-
-/// Geometric sequence of problem sizes n = base * ratio^i, i in [0, count).
-std::vector<std::size_t> geometric_sizes(std::size_t base, double ratio,
-                                         std::size_t count);
 
 }  // namespace meshsearch::util

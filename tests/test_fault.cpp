@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <map>
 #include <set>
@@ -760,6 +761,117 @@ TEST(FaultStream, Alg1MixedOutcomeRunIsPinned) {
   const auto got = outcomes(stream), want = outcomes(oracle);
   for (std::size_t i = 0; i < stream.size(); ++i)
     EXPECT_EQ(got[i], failed[i] ? pristine[i] : want[i]) << "position " << i;
+}
+
+/// FNV-1a over every field of every recorded event, in call order: two runs
+/// with equal digests made the same charges, of the same sizes, in the same
+/// order.
+std::uint64_t event_digest(const std::vector<trace::Event>& events) {
+  std::uint64_t h = 14695981039346656037ull;
+  auto mix = [&h](std::uint64_t x) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (x >> (8 * b)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  };
+  for (const auto& e : events) {
+    mix(static_cast<std::uint64_t>(e.prim));
+    mix(std::bit_cast<std::uint64_t>(e.p));
+    mix(std::bit_cast<std::uint64_t>(e.steps));
+    mix(e.calls);
+    mix(std::bit_cast<std::uint64_t>(e.sim_begin));
+  }
+  return h;
+}
+
+/// What a retried-run pin compares beyond the plan counters of `PlanPin`.
+struct RetriedPin {
+  double total_steps;  ///< res.total(): the surviving attempts
+  std::size_t batches, replans;
+  double recorded_steps;  ///< rec.total_steps(): every attempt
+  std::size_t events, spans;
+  std::uint64_t phase_retries;
+  PlanPin plan;
+  std::uint64_t event_digest;
+};
+
+/// A plan under which Alg-2/3 phases fail and are retried, some more than
+/// once, and a batch can exhaust its budget.
+mesh::FaultConfig retried_config() {
+  mesh::FaultConfig cfg;
+  cfg.seed = 7;
+  cfg.p_phase = 0.3;
+  cfg.max_retries = 2;
+  return cfg;
+}
+
+/// Run `stream` through `engine` (whose cost model carries `plan` and
+/// `rec`) under FIFO batching and check the pin, plus the
+/// recovered-or-reported contract against `oracle`.
+template <typename Engine>
+void expect_retried_run(Engine& engine, std::vector<Query>& stream,
+                        const std::vector<Query>& oracle,
+                        const mesh::FaultPlan& plan,
+                        const trace::TraceRecorder& rec,
+                        const RetriedPin& want) {
+  const auto pristine = outcomes(stream);
+  StreamScheduler sched(engine, BatchPolicy{});
+  const auto res = sched.run(stream);
+  EXPECT_EQ(res.total().steps, want.total_steps);
+  EXPECT_EQ(res.batches.size(), want.batches);
+  EXPECT_EQ(res.replans, want.replans);
+  EXPECT_EQ(rec.total_steps(), want.recorded_steps);
+  EXPECT_EQ(rec.events().size(), want.events);
+  EXPECT_EQ(rec.spans().size(), want.spans);
+  EXPECT_EQ(plan.stats().phase_retries, want.phase_retries);
+  expect_plan(plan, want.plan);
+  EXPECT_EQ(event_digest(rec.events()), want.event_digest);
+
+  std::vector<bool> failed(stream.size(), false);
+  for (const auto i : res.failed_queries) failed[i] = true;
+  const auto got = outcomes(stream), expect = outcomes(oracle);
+  for (std::size_t i = 0; i < stream.size(); ++i)
+    EXPECT_EQ(got[i], failed[i] ? pristine[i] : expect[i]) << "position " << i;
+}
+
+TEST(FaultStream, Alg3RetriedRunIsPinned) {
+  // Retried Alg-3 phases: each failed attempt re-charges its whole step
+  // (a Constrained-Multisearch call's six steps under one retry span) plus
+  // backoff. The digest pins the order of every charge.
+  const Alg3Fixture fx;
+  auto stream = fx.stream(4 * fx.shape.size() + 9);
+  auto oracle = stream;
+  sequential_multisearch(fx.tree.graph(), fx.tree.euler_scan(), oracle);
+  mesh::FaultPlan plan(retried_config());
+  trace::TraceRecorder rec("counting");
+  mesh::CostModel m;
+  m.fault = &plan;
+  m.trace = &rec;
+  PreparedSearch engine(EngineKind::kAlg3AlphaBeta, fx.tree.graph(), fx.s1,
+                        fx.s2, fx.tree.euler_scan(), m, fx.shape);
+  expect_retried_run(engine, stream, oracle, plan, rec,
+                     RetriedPin{547616.0, 6, 1, 602360.0, 1738, 1403, 75,
+                                PlanPin{78, 1, 1, 0, 728.0, 0.5},
+                                5798777442526517576ull});
+}
+
+TEST(FaultStream, Alg2RetriedRunIsPinned) {
+  const Alg2Fixture fx;
+  auto stream = fx.stream(4 * fx.shape.size() + 9);
+  auto oracle = stream;
+  sequential_multisearch(fx.tree.graph(), fx.tree.rank_count(), oracle);
+  mesh::FaultPlan plan(retried_config());
+  trace::TraceRecorder rec("counting");
+  mesh::CostModel m;
+  m.fault = &plan;
+  m.trace = &rec;
+  PreparedSearch engine(EngineKind::kAlg2Alpha, fx.tree.graph(),
+                        fx.tree.alpha_splitting(), fx.tree.alpha_splitting(),
+                        fx.tree.rank_count(), m, fx.shape);
+  expect_retried_run(engine, stream, oracle, plan, rec,
+                     RetriedPin{61728.0, 5, 0, 61728.0, 149, 131, 4,
+                                PlanPin{4, 0, 0, 0, 32.0, 1.0},
+                                4680398838506141772ull});
 }
 
 TEST(FaultStream, Alg1LongDegradedStreamKeepsAPositiveCapacityFactor) {

@@ -118,17 +118,6 @@ TEST(RandomPermutation, IsAPermutation) {
   }
 }
 
-TEST(Stats, SummaryBasics) {
-  const std::vector<double> xs{3, 1, 2, 5, 4};
-  const auto s = util::summarize(xs);
-  EXPECT_EQ(s.count, 5u);
-  EXPECT_DOUBLE_EQ(s.min, 1);
-  EXPECT_DOUBLE_EQ(s.max, 5);
-  EXPECT_DOUBLE_EQ(s.mean, 3);
-  EXPECT_DOUBLE_EQ(s.median, 3);
-  EXPECT_NEAR(s.stddev, std::sqrt(2.5), 1e-12);
-}
-
 TEST(Stats, LinearFitRecoversLine) {
   std::vector<double> xs, ys;
   for (int i = 0; i < 50; ++i) {
@@ -150,13 +139,6 @@ TEST(Stats, PowerFitRecoversExponent) {
   const auto f = util::fit_power(xs, ys);
   EXPECT_NEAR(f.exponent, 0.5, 1e-9);
   EXPECT_NEAR(std::exp(f.log_coeff), 7.0, 1e-6);
-}
-
-TEST(Stats, GeometricSizes) {
-  const auto sizes = util::geometric_sizes(64, 4.0, 4);
-  ASSERT_EQ(sizes.size(), 4u);
-  EXPECT_EQ(sizes[0], 64u);
-  EXPECT_EQ(sizes[3], 4096u);
 }
 
 TEST(ParallelFor, ComputesAllIndices) {

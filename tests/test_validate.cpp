@@ -332,6 +332,46 @@ TEST(Validate, PartitionedFrontDoorRejectsBeforeAnyCharge) {
   });
 }
 
+TEST(Validate, ConstrainedFrontDoorRejectsBeforeAnyCharge) {
+  ds::KaryTree tree(ds::iota_keys(64), 2, ds::TreeMode::kDirected);
+  const Splitting psi = tree.alpha_splitting();
+  const auto shape = tree.graph().shape_for(tree.graph().vertex_count());
+  // Every query sits on a vertex, so a malformed piece id would be read.
+  auto placed = make_queries(8);
+  for (std::size_t i = 0; i < placed.size(); ++i)
+    placed[i].key[0] = static_cast<std::int64_t>(8 * i);
+  reset_queries(placed);
+  global_multistep(tree.graph(), tree.rank_count(), placed);
+  const auto run = [&](const Splitting& family, const mesh::CostModel& m) {
+    auto qs = placed;
+    return constrained_multisearch(tree.graph(), family, tree.rank_count(), qs,
+                                   m, shape);
+  };
+  const auto expect_rejected = [&](const Splitting& family) {
+    trace::TraceRecorder rec;
+    mesh::CostModel m;
+    m.trace = &rec;
+    EXPECT_THROW(run(family, m), InvalidInputError);
+    EXPECT_TRUE(rec.events().empty());
+    EXPECT_TRUE(rec.spans().empty());
+  };
+  // A piece id past num_pieces() on the vertex the queries sit on.
+  const Vid at = placed.front().current;
+  Splitting past_end = psi;
+  past_end.piece[static_cast<std::size_t>(at)] =
+      static_cast<std::int32_t>(psi.num_pieces());
+  expect_rejected(past_end);
+  // A piece vector shorter than the vertex count.
+  Splitting short_psi = psi;
+  short_psi.piece.resize(psi.piece.size() / 2);
+  expect_rejected(short_psi);
+  // Id -1 stays legal: Psi is a family of pieces, not a partition.
+  Splitting family = psi;
+  family.piece[static_cast<std::size_t>(at)] = -1;
+  const mesh::CostModel m;
+  EXPECT_EQ(run(family, m).marked, 0u);
+}
+
 TEST(Validate, HierarchicalFrontDoorRejectsBeforeAnyCharge) {
   for (const PlanKind plan : {PlanKind::kPaper, PlanKind::kGeometric}) {
     TinyDag t(6);
