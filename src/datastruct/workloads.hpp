@@ -36,6 +36,8 @@ DistributedGraph build_hierarchical_dag(std::size_t n_target, double mu,
 /// checksum. This is the adversary-free stand-in for "compare the search
 /// key with v's information" (§1).
 struct HashWalk {
+  /// next() reads id, degree and nbr only: prefetch_visit skips key[].
+  static constexpr bool kReadsHeaderOnly = true;
   Vid root = 0;
   Vid start(Query&) const { return root; }
   Vid next(const VertexRecord& v, Query& q) const {
@@ -107,6 +109,8 @@ RandomPartitionable build_random_partitionable(std::size_t k1, std::size_t k2,
 /// the head piece selected by hashing key[0], then hash-walks forward
 /// until it reaches a sink. q.result = sink, q.acc1 = path checksum.
 struct PartitionableWalk {
+  /// next() reads id, degree and nbr only: prefetch_visit skips key[].
+  static constexpr bool kReadsHeaderOnly = true;
   const RandomPartitionable* inst = nullptr;
   Vid start(Query& q) const {
     const auto h = util::mix64(static_cast<std::uint64_t>(q.key[0]));

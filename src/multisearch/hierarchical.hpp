@@ -239,7 +239,7 @@ std::size_t advance_through_levels(const DistributedGraph& g, const P& prog,
           const Query& qa =
               queries[live[k + mesh::ops::soa::kPrefetchDistance]];
           if (qa.current != kNoVertex && qa.next != kNoVertex)
-            prefetch_visit(g, qa.next);
+            prefetch_visit(g, prog, qa.next);
         }
         const std::uint32_t qi = live[k];
         Query& q = queries[qi];

@@ -12,11 +12,17 @@
 
 namespace meshsearch::util {
 
-/// splitmix64 step; used for seeding and as a cheap stateless hash.
-std::uint64_t splitmix64(std::uint64_t& state);
+/// splitmix64 step; used for seeding and as a cheap stateless hash. Inline:
+/// search programs call mix64 on every visit.
+inline std::uint64_t splitmix64(std::uint64_t& state) {
+  std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
 
 /// Stateless mix of a 64-bit value (one splitmix64 round).
-std::uint64_t mix64(std::uint64_t x);
+inline std::uint64_t mix64(std::uint64_t x) { return splitmix64(x); }
 
 /// xoshiro256** generator. Satisfies UniformRandomBitGenerator.
 class Rng {
