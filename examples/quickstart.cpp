@@ -4,8 +4,10 @@
 // of their simulated mesh times.
 //
 //   $ ./example_quickstart [num_keys] [num_queries]
+#include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <string_view>
 
 #include "datastruct/kary_tree.hpp"
 #include "datastruct/workloads.hpp"
@@ -82,9 +84,7 @@ int run(int argc, char** argv) {
   // 6. Streaming: pay the Algorithm 2 setup once, then serve a longer query
   //    stream in mesh-capacity batches. The recorder charges every
   //    primitive and times every batch attempt in its "stream.batch N" span
-  //    (the wall.phase.stream.batch histogram); run with MESHSEARCH_STATS=1
-  //    to get the observability summary printed on exit (see
-  //    example_main.hpp).
+  //    (the wall.phase.stream.batch histogram).
   trace::TraceRecorder rec("alg2-alpha");
   mesh::CostModel traced_model;
   traced_model.trace = &rec;
@@ -100,12 +100,28 @@ int run(int argc, char** argv) {
             << sres.amortized_steps_per_query()
             << " amortized steps/query (setup fraction "
             << sres.setup_fraction() << ")\n";
-  for (const auto& h : rec.stats().snapshot().histograms)
-    if (h.name == trace::span_histogram_name("stream.batch"))
-      std::cout << "batch latency p50 " << h.hist.p50() << " us, p95 "
-                << h.hist.p95() << " us, max " << h.hist.max()
-                << " us; replans " << sres.replans << ", failed queries "
-                << sres.failed_queries.size() << "\n";
+
+  // 7. The recorder's own stats registry: every wall-clock span histogram as
+  //    a percentile line, then the stream SLO line from the stream.* gauges.
+  const auto snap = rec.stats().snapshot();
+  std::cout << "\nstats:\n";
+  for (const auto& h : snap.histograms) {
+    char line[160];
+    std::snprintf(line, sizeof(line),
+                  "  wall     %s: n=%zu p50=%.1fus p95=%.1fus max=%.1fus",
+                  h.name.c_str(), static_cast<std::size_t>(h.hist.count()),
+                  h.hist.p50(), h.hist.p95(), h.hist.max());
+    std::cout << line << "\n";
+  }
+  const auto gauge = [&](std::string_view name) {
+    for (const auto& g : snap.gauges)
+      if (g.name == name) return g.value;
+    return -1.0;
+  };
+  std::cout << "  slo      stream: " << gauge("stream.batches") << " batches, "
+            << gauge("stream.degraded_batches") << " degraded, "
+            << gauge("stream.replans") << " replans, "
+            << gauge("stream.failed_queries") << " failed queries\n";
 
   return mismatch.empty() && mismatch2.empty() ? 0 : 1;
 }

@@ -33,10 +33,6 @@ std::int64_t dot3(const Point3& d, const Point3& p) {
   return static_cast<std::int64_t>(v);
 }
 
-bool triangle_degenerate(const Point2& a, const Point2& b, const Point2& c) {
-  return orient2d(a, b, c) == 0;
-}
-
 bool point_in_triangle(const Point2& p, const Point2& a, const Point2& b,
                        const Point2& c) {
   const int o = orient2d(a, b, c);

@@ -57,8 +57,4 @@ bool segments_properly_cross(const Point2& a, const Point2& b,
 bool triangles_overlap(const std::array<Point2, 3>& t1,
                        const std::array<Point2, 3>& t2);
 
-/// Twice the signed area of triangle (a,b,c) as __int128 sign-safe Scalar
-/// pair is unnecessary; exposed as the sign plus magnitude check helper.
-bool triangle_degenerate(const Point2& a, const Point2& b, const Point2& c);
-
 }  // namespace meshsearch::geom

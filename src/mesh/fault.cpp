@@ -3,22 +3,18 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/rng.hpp"
+
 namespace meshsearch::mesh {
 
 namespace {
 
-/// splitmix64 finalizer — the same avalanche mix util::Rng builds on. Fault
-/// draws must be independent of workload RNG streams, so the plan seeds its
-/// own hash chain instead of sharing util::Rng state.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
+/// A chain of util::mix64 (splitmix64) rounds. Fault draws must be
+/// independent of workload RNG streams, so the plan hashes its own chain
+/// instead of sharing util::Rng state.
 std::uint64_t hash4(std::uint64_t a, std::uint64_t b, std::uint64_t c,
                     std::uint64_t d) {
+  using util::mix64;
   return mix64(mix64(mix64(mix64(a) ^ b) ^ c) ^ d);
 }
 

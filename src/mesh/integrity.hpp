@@ -22,15 +22,9 @@
 #include <cstring>
 #include <type_traits>
 
-namespace meshsearch::mesh::integrity {
+#include "util/rng.hpp"
 
-/// splitmix64 finalizer (same mix as the fault plan's hash chain).
-inline std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
+namespace meshsearch::mesh::integrity {
 
 /// Position-mixed checksum of a trivially-copyable payload. A tail of
 /// fewer than 8 bytes is zero-padded into its word.
@@ -48,7 +42,7 @@ std::uint64_t payload_checksum(const T& value) {
     const std::size_t n =
         sizeof(T) - off < 8 ? sizeof(T) - off : std::size_t{8};
     std::memcpy(&word, bytes + off, n);
-    h ^= mix64(word ^ mix64(++i));
+    h ^= util::mix64(word ^ util::mix64(++i));
     off += 8;
   }
   return h;
@@ -70,7 +64,7 @@ void flip_payload_bit(T& value, std::uint64_t bit) {
 /// Order-independent fold of per-item checksums — the end-to-end audit
 /// value paranoid mode compares across engine and oracle runs.
 inline std::uint64_t fold_checksum(std::uint64_t acc, std::uint64_t item) {
-  return acc ^ mix64(item);
+  return acc ^ util::mix64(item);
 }
 
 }  // namespace meshsearch::mesh::integrity

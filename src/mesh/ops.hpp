@@ -165,16 +165,6 @@ Cost route(const std::vector<T>& data, const std::vector<std::uint32_t>& dest,
   return m.route(p);
 }
 
-/// In-place permutation routing.
-template <typename T>
-Cost route_inplace(std::vector<T>& data, const std::vector<std::uint32_t>& dest,
-                   const CostModel& m, double p) {
-  std::vector<T> out;
-  const Cost c = route(data, dest, out, data.size(), m, p);
-  data = std::move(out);
-  return c;
-}
-
 // ---------------------------------------------------------------------------
 // Random access read / write (the concurrent-access workhorses)
 // ---------------------------------------------------------------------------

@@ -10,13 +10,4 @@ Partition::Partition(MeshShape shape, std::uint32_t blocks_per_side)
   block_side_ = shape.side() / g_;
 }
 
-std::vector<std::uint32_t> Partition::block_permutation() const {
-  std::vector<std::uint32_t> perm(shape_.size());
-  const std::size_t bs = block_size();
-  for (std::size_t idx = 0; idx < perm.size(); ++idx)
-    perm[idx] =
-        static_cast<std::uint32_t>(block_of(idx) * bs + local_of(idx));
-  return perm;
-}
-
 }  // namespace meshsearch::mesh

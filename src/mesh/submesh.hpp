@@ -10,11 +10,10 @@
 //
 // where blocks are numbered row-major over the block grid. Moving an array
 // between the two layouts is a fixed permutation, realized on a mesh by one
-// routing; block_permutation() materializes it for the counting engine.
+// routing.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "mesh/snake.hpp"
 
@@ -40,11 +39,6 @@ class Partition {
   std::size_t local_of(std::size_t idx) const;
   /// Global snake index of (block, local snake index).
   std::size_t global_of(std::uint32_t block, std::size_t local) const;
-
-  /// perm[global] = block_of(global) * block_size() + local_of(global):
-  /// the permutation taking a global-snake-order array to block-contiguous
-  /// layout. Its inverse recovers the global layout.
-  std::vector<std::uint32_t> block_permutation() const;
 
  private:
   MeshShape shape_;

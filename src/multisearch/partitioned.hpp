@@ -31,7 +31,6 @@ namespace meshsearch::msearch {
 struct PartitionedRunResult {
   mesh::Cost cost;
   std::size_t log_phases = 0;
-  std::size_t constrained_calls = 0;
   std::size_t total_visits = 0;
   std::size_t copies = 0;  ///< Gamma copies made over all constrained calls
   std::int32_t longest_path = 0;  ///< r: max steps over queries at the end
@@ -97,7 +96,6 @@ PartitionedRunResult partitioned_core(const DistributedGraph& g,
     global_step("phase.step3: global multistep", "phase.step3");
     constrained_step("phase.step4: constrained(Psi_B)", "phase.step4", psi_b,
                      cap_b);
-    res.constrained_calls += 2;
     ++res.log_phases;
     // Termination check: a reduction over query flags.
     res.cost += m.reduce(p);

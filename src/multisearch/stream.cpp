@@ -25,16 +25,12 @@ std::vector<std::vector<std::uint32_t>> plan_batches(
   if (capacity == 0)
     invalid_input("plan_batches requires a mesh with at least one processor",
                   "plan_batches");
-  const std::size_t b = policy.batch_size == 0
-                            ? capacity
-                            : std::min(policy.batch_size, capacity);
   std::vector<std::uint32_t> order(stream.size());
   std::iota(order.begin(), order.end(), 0u);
   if (policy.order == BatchOrder::kLocalityReorder) {
-    // Sort each window by search key; ties keep arrival order so the
-    // schedule is a deterministic function of the stream alone.
-    const std::size_t w =
-        std::max(b, policy.window == 0 ? 4 * b : policy.window);
+    // Sort each window of 4 batches by search key; ties keep arrival order
+    // so the schedule is a deterministic function of the stream alone.
+    const std::size_t w = 4 * capacity;
     for (std::size_t lo = 0; lo < order.size(); lo += w) {
       const auto begin =
           order.begin() + static_cast<std::ptrdiff_t>(lo);
@@ -53,8 +49,8 @@ std::vector<std::vector<std::uint32_t>> plan_batches(
     }
   }
   std::vector<std::vector<std::uint32_t>> batches;
-  for (std::size_t lo = 0; lo < order.size(); lo += b) {
-    const std::size_t hi = std::min(order.size(), lo + b);
+  for (std::size_t lo = 0; lo < order.size(); lo += capacity) {
+    const std::size_t hi = std::min(order.size(), lo + capacity);
     batches.emplace_back(order.begin() + static_cast<std::ptrdiff_t>(lo),
                          order.begin() + static_cast<std::ptrdiff_t>(hi));
   }

@@ -20,8 +20,9 @@
 //     plan, Alg 2, Alg 3). Construction charges the one-time setup through
 //     the CostModel (so it lands in the trace attribution like any other
 //     work) and caches the host-side artifacts: the distributed graph, the
-//     validated level indices, the band plan and its Lemma-1 replica labels,
-//     each splitting's Constrained-Multisearch submesh capacity. The
+//     validated level indices, the band plan (the log* plan's Lemma-1
+//     replica labels verified against capacity), each splitting's
+//     Constrained-Multisearch submesh capacity. The
 //     structure is validated and these constants derived once per structure
 //     generation (construction and full refresh), never per batch.
 //     run_batch() checks only the batch size and then charges only inject +
@@ -34,16 +35,17 @@
 //     write-back, fault degradation). StreamScheduler and the service
 //     layer's ServiceScheduler both run every batch through it.
 //
-//   * StreamScheduler<P> — slices a query stream into batches of at most
-//     mesh-capacity queries under a BatchPolicy (FIFO, or locality-reorder:
-//     sort a window of queries by search key so key-adjacent queries share a
-//     batch), runs each batch through run_slice on the warm engine, and
-//     reports per-batch and cumulative cost in a StreamResult. Its counts
-//     are exported once, as stream.* gauges (record_stream_metrics); each
-//     attempt runs in a "stream.batch N" span, whose wall.phase.stream.batch
-//     histogram is the one per-batch wall timer. A
-//     resetup_every_batch mode re-charges the full setup before every batch
-//     — the naive baseline E8 compares against.
+//   * StreamScheduler<P> — slices a query stream into mesh-capacity batches
+//     (one query per processor, the paper's initial configuration) under a
+//     BatchPolicy (FIFO, or locality-reorder: sort each window of 4 batches
+//     by search key so key-adjacent queries share a batch), runs each batch
+//     through run_slice on the warm engine, and reports per-batch and
+//     cumulative cost in a StreamResult. Its counts are exported once, as
+//     stream.* gauges (record_stream_metrics); each attempt runs in a
+//     "stream.batch N" span, whose wall.phase.stream.batch histogram is the
+//     one per-batch wall timer. A resetup_every_batch mode re-charges the
+//     full setup before every batch — the naive baseline E8 compares
+//     against.
 //
 // Invalidation contract (DESIGN.md §5, decisions "Streaming batches" and
 // 16): the cache is valid as long as the graph, the mesh shape, and (for
@@ -104,31 +106,21 @@ const char* engine_kind_name(EngineKind k);
 
 enum class BatchOrder : std::uint8_t {
   kFifo = 0,          ///< arrival order
-  kLocalityReorder,   ///< sort each window by search key before slicing
+  kLocalityReorder,   ///< sort each 4-batch window by key before slicing
 };
 
 struct BatchPolicy {
-  /// Queries per batch; 0 = mesh capacity. Clamped to capacity (the initial
-  /// configuration stores at most one query per processor).
-  std::size_t batch_size = 0;
   BatchOrder order = BatchOrder::kFifo;
-  /// Locality-reorder window (queries sorted together before slicing);
-  /// 0 = 4 batches worth. Ignored under kFifo.
-  std::size_t window = 0;
 };
 
-/// Slice `stream` into batches of at most min(policy.batch_size, capacity)
-/// query indices, in arrival order or locality order. Every index appears
-/// in exactly one batch; no batch is empty. Deterministic (key ties break
-/// by arrival index).
+/// Slice `stream` into batches of `capacity` query indices (the last one
+/// possibly shorter) — the initial configuration stores at most one query
+/// per processor, so a batch is one mesh load — in arrival order or
+/// locality order. Every index appears in exactly one batch; no batch is
+/// empty. Deterministic (key ties break by arrival index).
 ///
 /// Edge contracts (each a defined behavior, not caller discipline):
 ///   * empty stream        -> no batches (an empty vector), nothing charged;
-///   * batch_size == 0     -> batches of exactly `capacity` (the largest the
-///                            initial configuration admits);
-///   * batch_size > capacity -> silently clamped to `capacity` (the clamp is
-///                            a guarantee: no plan ever oversubscribes the
-///                            mesh);
 ///   * capacity == 0       -> InvalidInputError (a mesh with no processors
 ///                            cannot serve a batch; this is caller error,
 ///                            not a library invariant violation).
@@ -161,7 +153,7 @@ struct PendingBatch {
 class BatchSource {
  public:
   BatchSource() = default;
-  /// Plan `stream` into capacity-clamped batches under `policy` and queue
+  /// Plan `stream` into capacity-sized batches under `policy` and queue
   /// them all (the StreamScheduler path). Same contracts as plan_batches.
   BatchSource(const std::vector<Query>& stream, const BatchPolicy& policy,
               std::size_t capacity);
@@ -329,9 +321,10 @@ SliceAttempt run_slice(Engine& engine, mesh::FaultPlan* fault,
 template <SearchProgram P>
 class PreparedSearch {
  public:
-  /// Warm Algorithm-1 engine (either plan). Builds and verifies the band
-  /// plan and its replica labels host-side, then charges the one-time setup
-  /// (distribute_graph + level-index peel + band replication) through `m`.
+  /// Warm Algorithm-1 engine (either plan). Builds the band plan host-side
+  /// (verifying the log* plan's replica labels), then charges the one-time
+  /// setup (distribute_graph + level-index peel + band replication) through
+  /// `m`.
   /// `dag` and `m` must outlive the engine.
   PreparedSearch(const HierarchicalDag& dag, PlanKind plan_kind, P prog,
                  const mesh::CostModel& m, mesh::MeshShape shape)
@@ -396,14 +389,14 @@ class PreparedSearch {
   /// incrementally: the dirty records and every band replica holding a copy
   /// of them are re-distributed, charged under the `rebuild` primitive as
   /// ceil(dirty copies / p) redistribution rounds. All cached state (plan,
-  /// labels, splittings) stays valid. The phase runs under the standard
+  /// splittings) stays valid. The phase runs under the standard
   /// fault machinery as phase "rebuild" — failed attempts re-charge and
   /// back off, and an exhausted budget throws FaultExhaustedError leaving
   /// the engine still stale (the caller degrades and retries, or falls back
   /// to force_full).
   ///
   /// Topological deltas (or force_full) re-run the full setup: Algorithm-1
-  /// engines recompute their band plan and replica labels from the DAG
+  /// engines recompute (and re-verify) their band plan from the DAG
   /// (which the structure must have refreshed in place — HierarchicalDag is
   /// assignable precisely so its address stays stable); partitioned engines
   /// adopt the request's fresh splittings when provided, keeping their old
@@ -441,14 +434,10 @@ class PreparedSearch {
     return rep;
   }
 
-  /// Algorithm-1 cache views (MS_CHECKs on partitioned engines).
+  /// Algorithm-1 cache view (MS_CHECKs on partitioned engines).
   const HierarchicalPlan& plan() const {
     MS_CHECK(dag_ != nullptr);
     return plan_;
-  }
-  const std::vector<std::int32_t>& replica_labels() const {
-    MS_CHECK(dag_ != nullptr);
-    return labels_;
   }
 
   /// Charge the one-time setup through the cost model (again). Construction
@@ -558,8 +547,9 @@ class PreparedSearch {
   }
 
   /// Prepare the current structure generation: validate it, derive the
-  /// per-structure constants run_batch reuses (Alg 1: band plan and replica
-  /// labels; Alg 2/3: each splitting's submesh capacity), charge the
+  /// per-structure constants run_batch reuses (Alg 1: the band plan, whose
+  /// replica labels the log* plan verifies; Alg 2/3: each splitting's
+  /// submesh capacity), charge the
   /// one-time setup, and only then adopt the generation — a setup that
   /// throws (e.g. FaultExhaustedError) leaves a refreshing engine stale.
   /// Construction and the full refresh path both come through here.
@@ -567,12 +557,11 @@ class PreparedSearch {
     validate_structure();
     if (dag_ != nullptr) {
       plan_ = make_hierarchical_plan(*dag_, shape_, plan_kind_);
-      labels_ = band_labels(plan_, shape_);
       // Only the log* plan satisfies the Theorem-2 resident-replica storage
       // bound; the geometric plan stages its copies transiently (§5.9
       // trade-off), so its labels legitimately exceed capacity.
       if (plan_kind_ == PlanKind::kPaper)
-        verify_label_capacity(plan_, shape_, labels_);
+        verify_label_capacity(plan_, shape_, band_labels(plan_, shape_));
     } else {
       cap_a_ = constrained_capacity(psi_a_, shape_);
       cap_b_ = constrained_capacity(psi_b_, shape_);
@@ -618,7 +607,6 @@ class PreparedSearch {
   const HierarchicalDag* dag_ = nullptr;  ///< Alg 1 only
   PlanKind plan_kind_ = PlanKind::kPaper;
   HierarchicalPlan plan_;                 ///< cached band plan (Alg 1)
-  std::vector<std::int32_t> labels_;      ///< cached replica labels (Alg 1)
   Splitting psi_a_, psi_b_;               ///< cached splittings (Alg 2/3)
   std::size_t cap_a_ = 0, cap_b_ = 0;     ///< their submesh capacities
   P prog_;

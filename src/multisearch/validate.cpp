@@ -121,18 +121,6 @@ void validate_batch_size(std::size_t batch_size, std::size_t capacity,
                    engine);
 }
 
-void validate_query_keys(const std::vector<Query>& queries, std::int64_t lo,
-                         std::int64_t hi, const char* engine) {
-  for (std::size_t i = 0; i < queries.size(); ++i)
-    for (const std::int64_t k : queries[i].key)
-      if (k < lo || k > hi)
-        invalid_input("query " + std::to_string(i) + " key " +
-                          std::to_string(k) + " outside [" +
-                          std::to_string(lo) + ", " + std::to_string(hi) +
-                          "]",
-                      engine);
-}
-
 void validate_points_in_bounds(const std::vector<geom::Point2>& pts,
                                const char* site) {
   for (std::size_t i = 0; i < pts.size(); ++i)

@@ -87,12 +87,6 @@ void validate_graph_fits(const DistributedGraph& g, mesh::MeshShape shape,
 void validate_batch_size(std::size_t batch_size, std::size_t capacity,
                          const char* engine);
 
-/// Query keys must lie in [lo, hi] (used by builders whose key domain is
-/// bounded, e.g. geometry coordinates within kMaxCoord). Throws
-/// InvalidInputError naming the first offending query.
-void validate_query_keys(const std::vector<Query>& queries, std::int64_t lo,
-                         std::int64_t hi, const char* engine);
-
 // ---------------------------------------------------------------------------
 // Geometry input validation (via geometry/predicates.hpp)
 // ---------------------------------------------------------------------------

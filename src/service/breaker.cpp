@@ -6,15 +6,6 @@
 
 namespace meshsearch::service {
 
-const char* breaker_state_name(BreakerState s) {
-  switch (s) {
-    case BreakerState::kClosed: return "closed";
-    case BreakerState::kOpen: return "open";
-    case BreakerState::kHalfOpen: return "half-open";
-  }
-  return "unknown";
-}
-
 void CircuitBreaker::configure(BreakerPolicy policy) {
   policy_ = policy;
   state_ = BreakerState::kClosed;

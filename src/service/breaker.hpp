@@ -52,8 +52,6 @@ enum class BreakerState : std::uint8_t {
   kHalfOpen,  ///< probe batch in flight (transient within one dispatch)
 };
 
-const char* breaker_state_name(BreakerState s);
-
 /// Deterministic counters, exported as service.breaker.<engine>.* gauges by
 /// ServiceScheduler::export_metrics.
 struct BreakerCounters {

@@ -40,15 +40,6 @@ Engine& EngineRegistry::at(const EngineKey& key) {
   return *e;
 }
 
-void EngineRegistry::set_breaker_policy(const EngineKey& key,
-                                        BreakerPolicy policy) {
-  at(key).breaker().configure(policy);
-}
-
-CircuitBreaker& EngineRegistry::breaker(const EngineKey& key) {
-  return at(key).breaker();
-}
-
 std::vector<EngineKey> EngineRegistry::keys() const {
   std::vector<EngineKey> out;
   out.reserve(engines_.size());

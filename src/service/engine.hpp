@@ -78,8 +78,8 @@ class Engine {
 
   /// This engine's circuit breaker (service/breaker.hpp) — per registered
   /// engine, i.e. per (dataset, EngineKind) key, shared by every tenant the
-  /// engine serves. Disabled by default; EngineRegistry::set_breaker_policy
-  /// (or breaker().configure) arms it. The ServiceScheduler consults it
+  /// engine serves. Disabled by default; breaker().configure arms it (a
+  /// threshold of 0 disarms it). The ServiceScheduler consults it
   /// before every dispatch and feeds it every batch outcome.
   CircuitBreaker& breaker() { return breaker_; }
   const CircuitBreaker& breaker() const { return breaker_; }
@@ -200,14 +200,6 @@ class EngineRegistry {
 
   /// Lookup; throws InvalidInputError naming the key if absent.
   Engine& at(const EngineKey& key);
-
-  /// Arm (or re-arm) the circuit breaker of the engine registered under
-  /// `key`. Throws InvalidInputError if the key is absent. A threshold of 0
-  /// disarms it.
-  void set_breaker_policy(const EngineKey& key, BreakerPolicy policy);
-
-  /// The breaker of the engine registered under `key` (throws if absent).
-  CircuitBreaker& breaker(const EngineKey& key);
 
   std::size_t size() const { return engines_.size(); }
   std::vector<EngineKey> keys() const;

@@ -88,9 +88,7 @@ bool ServiceScheduler::idle() const {
 }
 
 std::size_t ServiceScheduler::quantum_for(const TenantSession& t) const {
-  const std::size_t base =
-      cfg_.quantum == 0 ? t.engine().capacity() : cfg_.quantum;
-  return base * t.quota().weight;
+  return t.engine().capacity() * t.quota().weight;
 }
 
 void ServiceScheduler::advance_clock_to(double steps) {
@@ -185,8 +183,8 @@ ServiceScheduler::ServeOutcome ServiceScheduler::serve_slice(
   // admission order (fault requeues go to the front), so clamping the
   // window to the unresolved-before-barrier count is exact. Shed counts as
   // resolved: those queries will never be attempted.
-  if (t.next_update_ < t.updates_.size()) {
-    const std::size_t barrier = t.updates_[t.next_update_].barrier;
+  if (!t.updates_.empty()) {
+    const std::size_t barrier = t.updates_.front().barrier;
     const std::size_t resolved = t.completed_ + t.failed_ + t.shed_;
     window = barrier > resolved ? std::min(window, barrier - resolved) : 0;
   }
@@ -251,7 +249,7 @@ ServiceScheduler::ServeOutcome ServiceScheduler::serve_slice(
 
 void ServiceScheduler::apply_ready_updates(TenantSession& t) {
   while (t.update_ready()) {
-    TenantSession::PendingUpdate& u = t.updates_[t.next_update_];
+    TenantSession::PendingUpdate& u = t.updates_.front();
     Engine& engine = t.engine();
     engine.bind_sinks(trace_, t.fault_);
     trace::SpanScope span(trace_, "service.update " + std::to_string(serial_));
@@ -276,7 +274,8 @@ void ServiceScheduler::apply_ready_updates(TenantSession& t) {
     }
     clock_ += rep.cost.steps;
     t.refresh_ += rep.cost;
-    ++t.next_update_;
+    t.updates_.pop_front();  // releases whatever the UpdateFn captured
+    ++t.updates_applied_;
     if (rep.incremental)
       ++t.incremental_refreshes_;
     else
@@ -382,8 +381,8 @@ void ServiceScheduler::export_metrics() const {
     metric(t, "batches", static_cast<double>(t.batches_));
     metric(t, "degraded_batches", static_cast<double>(t.degraded_batches_));
     metric(t, "replans", static_cast<double>(t.replans_));
-    metric(t, "updates_submitted", static_cast<double>(t.updates_.size()));
-    metric(t, "updates_applied", static_cast<double>(t.next_update_));
+    metric(t, "updates_submitted", static_cast<double>(t.updates_submitted_));
+    metric(t, "updates_applied", static_cast<double>(t.updates_applied_));
     metric(t, "incremental_refreshes",
            static_cast<double>(t.incremental_refreshes_));
     metric(t, "full_refreshes", static_cast<double>(t.full_refreshes_));

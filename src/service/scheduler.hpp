@@ -7,8 +7,10 @@
 //
 //   * kDeficitRoundRobin (default) — classic DRR with queries as the cost
 //     unit. Each pump() round visits tenants in registration order; a
-//     backlogged tenant earns quantum * weight credits (quantum defaults to
-//     its engine's mesh capacity) and is served front-of-queue slices
+//     backlogged tenant earns capacity * weight credits (capacity = its
+//     engine's mesh capacity, one full batch per round: the initial
+//     configuration puts at most one query on each processor) and is served
+//     front-of-queue slices
 //     (BatchSource::pop_upto) no larger than its remaining credit until the
 //     credit or the queue runs out. Credits of an emptied queue are
 //     forfeited (no banking while idle) — the property the fairness tests
@@ -44,8 +46,8 @@
 //
 // Counts live in one place each: TenantSession fields, breaker counters and
 // the scheduler's round counters. export_metrics() publishes them as
-// gauges; only span wall times go to the stats registry as they happen —
-// each batch attempt runs in a "service.batch N" span, whose
+// gauges; only span wall times go to the recorder's stats registry as they
+// happen — each batch attempt runs in a "service.batch N" span, whose
 // wall.phase.service.batch histogram is the one per-batch wall timer.
 //
 // Overload protection (DESIGN.md decision 17) composes four mechanisms, all
@@ -105,9 +107,6 @@ struct BrownoutPolicy {
 
 struct ServiceConfig {
   SchedulePolicy policy = SchedulePolicy::kDeficitRoundRobin;
-  /// DRR credits (in queries) a weight-1 tenant earns per round; 0 = that
-  /// tenant's engine capacity (one full mesh batch per round).
-  std::size_t quantum = 0;
   BrownoutPolicy brownout;
 };
 
@@ -129,7 +128,6 @@ class ServiceScheduler {
 
   TenantSession& tenant(const std::string& name);
   const TenantSession& tenant(const std::string& name) const;
-  std::size_t tenant_count() const { return tenants_.size(); }
 
   /// No tenant has pending work (queries or unapplied updates).
   bool idle() const;
@@ -212,6 +210,7 @@ class ServiceScheduler {
   /// latency p99 is above it.
   bool over_target(const TenantSession& t) const;
 
+  /// DRR credits `t` earns per round: its engine's capacity * weight.
   std::size_t quantum_for(const TenantSession& t) const;
 
   ServiceConfig cfg_;

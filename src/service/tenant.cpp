@@ -102,7 +102,7 @@ std::size_t TenantSession::submit_update(UpdateFn mutate) {
   u.mutate = std::move(mutate);
   u.barrier = stream_.size();
   updates_.push_back(std::move(u));
-  return updates_.size() - 1;
+  return updates_submitted_++;
 }
 
 QueryState TenantSession::poll(Ticket t) const {
@@ -152,8 +152,8 @@ TenantReport TenantSession::report() const {
   rep.batches = batches_;
   rep.degraded_batches = degraded_batches_;
   rep.replans = replans_;
-  rep.updates_submitted = updates_.size();
-  rep.updates_applied = next_update_;
+  rep.updates_submitted = updates_submitted_;
+  rep.updates_applied = updates_applied_;
   rep.incremental_refreshes = incremental_refreshes_;
   rep.full_refreshes = full_refreshes_;
   rep.degraded_refreshes = degraded_refreshes_;

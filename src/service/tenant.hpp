@@ -31,6 +31,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <string>
 #include <vector>
@@ -194,11 +195,9 @@ class TenantSession {
   /// has resolved. Throws InvalidInputError on a null callable.
   std::size_t submit_update(UpdateFn mutate);
 
-  std::size_t updates_submitted() const { return updates_.size(); }
-  std::size_t updates_applied() const { return next_update_; }
-  std::size_t pending_updates() const {
-    return updates_.size() - next_update_;
-  }
+  std::size_t updates_submitted() const { return updates_submitted_; }
+  std::size_t updates_applied() const { return updates_applied_; }
+  std::size_t pending_updates() const { return updates_.size(); }
 
   QueryState poll(Ticket t) const;
   /// The answered (or reported-failed, checkpoint-state) query. MS_CHECKs
@@ -241,8 +240,8 @@ class TenantSession {
   /// as resolved: a shed query will never be attempted, so waiting for it
   /// would deadlock the update queue.)
   bool update_ready() const {
-    return next_update_ < updates_.size() &&
-           completed_ + failed_ + shed_ >= updates_[next_update_].barrier;
+    return !updates_.empty() &&
+           completed_ + failed_ + shed_ >= updates_.front().barrier;
   }
 
   std::string name_;
@@ -276,8 +275,11 @@ class TenantSession {
   std::size_t batches_ = 0;
   std::size_t degraded_batches_ = 0;
   std::size_t replans_ = 0;
-  std::vector<PendingUpdate> updates_;  ///< all submitted updates, in order
-  std::size_t next_update_ = 0;         ///< first unapplied index
+  /// Unapplied updates, in submission order; each leaves (and releases
+  /// what its UpdateFn captured) once it has applied.
+  std::deque<PendingUpdate> updates_;
+  std::size_t updates_submitted_ = 0;
+  std::size_t updates_applied_ = 0;
   std::size_t incremental_refreshes_ = 0;
   std::size_t full_refreshes_ = 0;
   std::size_t degraded_refreshes_ = 0;

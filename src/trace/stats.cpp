@@ -1,8 +1,5 @@
 #include "trace/stats.hpp"
 
-#include <cstdlib>
-#include <cstring>
-
 namespace meshsearch::stats {
 
 StatsRegistry::Slots& StatsRegistry::slots(std::string_view name) {
@@ -13,7 +10,6 @@ StatsRegistry::Slots& StatsRegistry::slots(std::string_view name) {
 }
 
 void StatsRegistry::set(std::string_view name, double value) {
-  if (!enabled()) return;
   const std::lock_guard<std::mutex> lock(mu_);
   std::uint32_t& id = slots(name).gauge;
   if (id == Slots::kNone) {
@@ -24,7 +20,6 @@ void StatsRegistry::set(std::string_view name, double value) {
 }
 
 void StatsRegistry::observe(std::string_view name, double value) {
-  if (!enabled()) return;
   const std::lock_guard<std::mutex> lock(mu_);
   std::uint32_t& id = slots(name).hist;
   if (id == Slots::kNone) {
@@ -37,18 +32,6 @@ void StatsRegistry::observe(std::string_view name, double value) {
 Snapshot StatsRegistry::snapshot() const {
   const std::lock_guard<std::mutex> lock(mu_);
   return table_;
-}
-
-bool StatsRegistry::env_enabled() {
-  const char* env = std::getenv("MESHSEARCH_STATS");
-  if (env == nullptr) return false;
-  return std::strcmp(env, "0") != 0 && std::strcmp(env, "") != 0 &&
-         std::strcmp(env, "off") != 0 && std::strcmp(env, "false") != 0;
-}
-
-StatsRegistry& StatsRegistry::global() {
-  static StatsRegistry reg(env_enabled());
-  return reg;
 }
 
 }  // namespace meshsearch::stats

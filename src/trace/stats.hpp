@@ -21,18 +21,12 @@
 //     phase-end granularity (one write per closed span or exported metric),
 //     so the lock is never on a per-query path.
 //   * Gauges and histograms have separate namespaces: one name may be both.
-//   * A disabled registry does NO work: updates return after one branch,
-//     nothing is registered, snapshot() is empty. enabled() is a plain flag
-//     read outside the lock, so flip it (set_enabled) only while no thread
-//     is writing — the tests that toggle the global registry do so between
-//     runs.
 //   * Percentile math is util::LogHistogram (util/stats.hpp) — the single
 //     implementation shared with the bench harness and SLO reports.
 //
-// The process-global registry (stats::global()) starts enabled iff the
-// MESHSEARCH_STATS environment variable is truthy ("1", "true", "on", ...);
-// TraceRecorder mirrors its observations there so one env flag lights up
-// end-of-run summaries (examples/example_main.hpp) without any wiring.
+// Each TraceRecorder owns one registry and is its only writer; a program
+// that wants an end-of-run summary reads its recorder's stats()
+// (examples/quickstart.cpp does).
 #pragma once
 
 #include <cstdint>
@@ -64,29 +58,20 @@ struct Snapshot {
 
 class StatsRegistry {
  public:
-  explicit StatsRegistry(bool enabled = true) : enabled_(enabled) {}
+  StatsRegistry() = default;
   StatsRegistry(const StatsRegistry&) = delete;
   StatsRegistry& operator=(const StatsRegistry&) = delete;
 
-  bool enabled() const { return enabled_; }
-  void set_enabled(bool on) { enabled_ = on; }
-
   /// Set the gauge `name` (registering it on first use); the last write
-  /// wins. No-op while disabled.
+  /// wins.
   void set(std::string_view name, double value);
   /// Record one observation into the histogram `name` (registering it on
-  /// first use). No-op while disabled.
+  /// first use).
   void observe(std::string_view name, double value);
 
   /// Copy of every gauge and histogram, registration order. Safe to call
   /// concurrently with updates: each update is seen fully or not at all.
   Snapshot snapshot() const;
-
-  /// Process-wide registry, initially enabled iff MESHSEARCH_STATS is truthy.
-  static StatsRegistry& global();
-
-  /// True when MESHSEARCH_STATS is set to a truthy value (read per call).
-  static bool env_enabled();
 
  private:
   struct NameHash {
@@ -104,7 +89,6 @@ class StatsRegistry {
   };
   Slots& slots(std::string_view name);  ///< find or insert; caller holds mu_
 
-  bool enabled_;
   mutable std::mutex mu_;  ///< guards ids_ and table_
   std::unordered_map<std::string, Slots, NameHash, std::equal_to<>> ids_;
   Snapshot table_;

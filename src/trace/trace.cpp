@@ -78,13 +78,9 @@ void TraceRecorder::end_span() {
     wall_us = s.wall_end_us - s.wall_begin_us;
   }
   // Wall-clock phase histogram — outside mu_ (the registry locks for itself
-  // and never calls back into the recorder), mirrored to the global registry
-  // under MESHSEARCH_STATS=1. Observability only: charged cost, outcomes,
-  // and attribution are untouched.
-  const std::string hist = span_histogram_name(name);
-  stats_.observe(hist, wall_us);
-  auto& g = stats::StatsRegistry::global();
-  if (g.enabled()) g.observe(hist, wall_us);
+  // and never calls back into the recorder). Observability only: charged
+  // cost, outcomes, and attribution are untouched.
+  stats_.observe(span_histogram_name(name), wall_us);
 }
 
 double TraceRecorder::total_steps() const {
@@ -104,8 +100,6 @@ std::vector<Event> TraceRecorder::events() const {
 
 void TraceRecorder::metric(std::string_view name, double value) {
   stats_.set(name, value);
-  auto& g = stats::StatsRegistry::global();
-  if (g.enabled()) g.set(name, value);
 }
 
 std::vector<Metric> TraceRecorder::metrics() const {

@@ -155,7 +155,6 @@ class TraceRecorder {
   /// Backed by a StatsRegistry gauge, so the lookup is hashed (a bench
   /// setting 10k metrics per sweep stays linear, not quadratic) and all
   /// exporters read metrics and wall histograms from one source.
-  /// Mirrored to the process-global registry when MESHSEARCH_STATS=1.
   void metric(std::string_view name, double value);
 
   /// Snapshot of the named metrics in first-insertion order.
@@ -166,13 +165,11 @@ class TraceRecorder {
   /// end_span() records each closed span's wall duration into the histogram
   /// "wall.phase.<name>" (trailing " <number>" suffixes are collapsed so
   /// per-batch spans share one histogram — "stream.batch N" and
-  /// "service.batch N" are the per-batch wall timers), mirrored to the
-  /// process-global registry when MESHSEARCH_STATS=1. Wall-clock values are
-  /// observability only — they are NOT part of the 1-vs-8-thread
+  /// "service.batch N" are the per-batch wall timers). Wall-clock values
+  /// are observability only — they are NOT part of the 1-vs-8-thread
   /// bit-identity contract, which pins outcomes, charges, and attribution
   /// (DESIGN.md §5, decision 13). Read-only: metric() and end_span() are
-  /// the registry's only writers, one locked table write each (two with
-  /// the global mirror on).
+  /// the registry's only writers, one locked table write each.
   const stats::StatsRegistry& stats() const { return stats_; }
 
  private:
@@ -180,7 +177,7 @@ class TraceRecorder {
 
   std::string engine_;
   std::chrono::steady_clock::time_point epoch_;
-  stats::StatsRegistry stats_{/*enabled=*/true};
+  stats::StatsRegistry stats_;
   mutable std::mutex mu_;
   double sim_now_ = 0;
   std::map<PrimitiveKey, PrimitiveStat> counters_;

@@ -163,15 +163,6 @@ void ThreadPool::parallel_for_chunks(std::size_t begin, std::size_t end,
   if (winner != errors_.size()) std::rethrow_exception(errors_[winner]);
 }
 
-void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
-                              const std::function<void(std::size_t)>& body,
-                              std::size_t grain) {
-  const ChunkBody chunked = [&body](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) body(i);
-  };
-  parallel_for_chunks(begin, end, chunked, grain);
-}
-
 namespace {
 
 std::mutex& global_pool_mutex() {
@@ -201,17 +192,6 @@ void ThreadPool::set_global_threads(unsigned threads) {
   slot.reset();  // join the old workers before building the replacement
   slot = std::make_unique<ThreadPool>(threads ? threads
                                               : default_thread_count());
-}
-
-void parallel_for(std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& body,
-                  std::size_t grain) {
-  if (begin >= end) return;  // inverted ranges are empty, not a huge count
-  if (end - begin < 2 * std::max<std::size_t>(grain, 1)) {
-    for (std::size_t i = begin; i < end; ++i) body(i);
-    return;
-  }
-  ThreadPool::global().parallel_for(begin, end, body, grain);
 }
 
 }  // namespace meshsearch::util

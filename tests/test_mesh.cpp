@@ -95,17 +95,6 @@ TEST(Partition, BlockLocalRoundTrip) {
   }
 }
 
-TEST(Partition, BlockPermutationIsPermutation) {
-  const Partition part(MeshShape(8), 4);
-  const auto perm = part.block_permutation();
-  std::vector<bool> seen(perm.size(), false);
-  for (auto v : perm) {
-    ASSERT_LT(v, perm.size());
-    EXPECT_FALSE(seen[v]);
-    seen[v] = true;
-  }
-}
-
 TEST(Partition, LocalIndicesAreSnakeWithinBlock) {
   const MeshShape s(8);
   const Partition part(s, 2);

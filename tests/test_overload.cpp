@@ -3,8 +3,7 @@
 // oracle check that shed queries never reach an engine, backpressure with a
 // structured retry-after hint, brownout deprioritization of over-target
 // tenants, the shed-resolves-update-barrier invariant, and bit-identity of
-// the whole overload pipeline at 1 vs 8 threads with the stats registry
-// armed (MESHSEARCH_STATS=1 equivalent).
+// the whole overload pipeline at 1 vs 8 threads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,7 +23,6 @@
 #include "service/engine.hpp"
 #include "service/scheduler.hpp"
 #include "service/tenant.hpp"
-#include "trace/stats.hpp"
 #include "trace/trace.hpp"
 #include "util/error.hpp"
 #include "util/parallel_for.hpp"
@@ -492,7 +490,7 @@ TEST(Overload, BrownoutDeprioritizesOverTargetTenantOnly) {
 // ---------------------------------------------------------------------------
 // Determinism: the full overload pipeline — shedding, backpressure,
 // breaker trips/probes, brownout — is a function of the submit/pump
-// sequence alone. 1 vs 8 threads, stats registry off and armed.
+// sequence alone, at 1 vs 8 threads.
 // ---------------------------------------------------------------------------
 
 TEST(Overload, OverloadPipelineBitIdenticalAcrossThreadsAndStats) {
@@ -580,21 +578,14 @@ TEST(Overload, OverloadPipelineBitIdenticalAcrossThreadsAndStats) {
   const Record serial = run();
   util::ThreadPool::set_global_threads(8);
   const Record parallel = run();
-  auto& registry = stats::StatsRegistry::global();
-  const bool stats_were_enabled = registry.enabled();
-  registry.set_enabled(true);  // what MESHSEARCH_STATS=1 does
-  const Record stats_on = run();
-  registry.set_enabled(stats_were_enabled);
   util::ThreadPool::set_global_threads(0);
 
-  for (const Record* other : {&parallel, &stats_on}) {
-    EXPECT_EQ(diff_outcomes(serial.out, other->out), "");
-    EXPECT_EQ(serial.clock_steps, other->clock_steps);  // exact
-    EXPECT_EQ(serial.brownout_rounds, other->brownout_rounds);
-    EXPECT_EQ(serial.metrics.size(), other->metrics.size());
-    EXPECT_TRUE(serial.metrics == other->metrics)
-        << "overload metrics diverged across thread counts / stats mode";
-  }
+  EXPECT_EQ(diff_outcomes(serial.out, parallel.out), "");
+  EXPECT_EQ(serial.clock_steps, parallel.clock_steps);  // exact
+  EXPECT_EQ(serial.brownout_rounds, parallel.brownout_rounds);
+  EXPECT_EQ(serial.metrics.size(), parallel.metrics.size());
+  EXPECT_TRUE(serial.metrics == parallel.metrics)
+      << "overload metrics diverged across thread counts";
   // Sanity: the pinned trace really exercised every mechanism.
   EXPECT_GT(serial.metrics.at("tenant.acme.shed"), 0.0);
   EXPECT_GT(serial.metrics.at("service.breaker.books_alg2-alpha.trips"), 0.0);

@@ -416,9 +416,7 @@ TEST(ServiceFairness, WeightedTenantsGetExactProportionalService) {
   auto engine = make_partitioned_engine(EngineKind::kAlg3AlphaBeta,
                                         fx.tree.graph(), fx.s1, fx.s2,
                                         fx.tree.euler_scan(), m, fx.shape);
-  ServiceConfig cfg;
-  cfg.quantum = cap / 8;  // small fixed quantum so rounds interleave
-  ServiceScheduler svc(cfg);
+  ServiceScheduler svc;
   TenantQuota gold;
   gold.max_outstanding = 16 * cap;
   gold.weight = 2;
@@ -429,11 +427,14 @@ TEST(ServiceFairness, WeightedTenantsGetExactProportionalService) {
   g.submit(fx.stream(4 * cap, 41));
   c.submit(fx.stream(4 * cap, 42));
 
-  // With both backlogs deep, k rounds serve exactly k * quantum * weight
+  // With both backlogs deep, k rounds serve exactly k * capacity * weight
   // queries each: a 2:1 service share, not approximately but exactly.
-  for (int round = 0; round < 3; ++round) svc.pump();
-  EXPECT_EQ(g.report().completed, 3u * 2u * (cap / 8));
-  EXPECT_EQ(c.report().completed, 3u * 1u * (cap / 8));
+  svc.pump();
+  EXPECT_EQ(g.report().completed, 2 * cap);
+  EXPECT_EQ(c.report().completed, cap);
+  svc.pump();
+  EXPECT_EQ(g.report().completed, 4 * cap);
+  EXPECT_EQ(c.report().completed, 2 * cap);
   svc.run_until_idle();
   EXPECT_EQ(g.report().completed, 4 * cap);
   EXPECT_EQ(c.report().completed, 4 * cap);

@@ -1,8 +1,8 @@
 // Observability-layer tests: LogHistogram bucket math and percentiles
 // (against a sorted-vector oracle), StatsRegistry (gauges + histograms)
-// snapshot determinism, disabled-mode no-registration, concurrent updates,
-// the registry-backed TraceRecorder::metric() (the O(n^2) overwrite fix), the
-// JSON reader/writer round trip, and the bench baseline comparison logic.
+// snapshot determinism and concurrent updates, the registry-backed
+// TraceRecorder::metric() (the O(n^2) overwrite fix), the JSON reader/writer
+// round trip, and the bench baseline comparison logic.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -114,7 +114,7 @@ TEST(LogHistogram, MergeEqualsInterleavedObservation) {
 // StatsRegistry
 
 TEST(StatsRegistry, GaugesHistogramsRoundTrip) {
-  StatsRegistry reg(true);
+  StatsRegistry reg;
   reg.set("requests", 3.0);
   reg.set("requests", 5.0);  // set semantics: the last write wins
   reg.set("温度", 21.5);  // names are arbitrary bytes
@@ -133,22 +133,8 @@ TEST(StatsRegistry, GaugesHistogramsRoundTrip) {
   EXPECT_DOUBLE_EQ(snap.histograms[0].hist.max(), 200.0);
 }
 
-TEST(StatsRegistry, DisabledRegistryRegistersNothing) {
-  StatsRegistry reg(false);
-  reg.observe("h", 1.0);
-  reg.set("g", 2.0);
-  EXPECT_TRUE(reg.snapshot().histograms.empty());
-  EXPECT_TRUE(reg.snapshot().gauges.empty());
-  // Writes made while disabled left no registration behind: enabling the
-  // registry afterwards still shows an empty table.
-  reg.set_enabled(true);
-  const auto snap = reg.snapshot();
-  EXPECT_TRUE(snap.histograms.empty());
-  EXPECT_TRUE(snap.gauges.empty());
-}
-
 TEST(StatsRegistry, ConcurrentUpdatesMergeExactly) {
-  StatsRegistry reg(true);
+  StatsRegistry reg;
   constexpr int kThreads = 8;
   constexpr int kPerThread = 20000;
   reg.observe("hits", 1.0);  // registered first, so it snapshots first
@@ -184,7 +170,7 @@ TEST(StatsRegistry, ConcurrentUpdatesMergeExactly) {
 }
 
 TEST(StatsRegistry, SnapshotIsDeterministicRegistrationOrder) {
-  StatsRegistry reg(true);
+  StatsRegistry reg;
   for (const char* name : {"z", "a", "m"}) {
     reg.observe(name, 1.0);
     reg.set(name, 1.0);

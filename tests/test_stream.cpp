@@ -20,7 +20,6 @@
 #include "multisearch/setup.hpp"
 #include "multisearch/stream.hpp"
 #include "trace/export.hpp"
-#include "trace/stats.hpp"
 #include "trace/trace.hpp"
 #include "util/error.hpp"
 #include "util/parallel_for.hpp"
@@ -264,37 +263,6 @@ TEST(StreamWarm, WarmBatchesBitIdenticalToColdStandaloneRuns) {
     for (const auto idx : slices[b]) warm_batch.push_back(warm_stream[idx]);
     EXPECT_EQ(diff_outcomes(outcomes(batch), outcomes(warm_batch)), "");
   }
-}
-
-TEST(StreamWarm, UntracedBatchesObserveNoWallHistogram) {
-  // With the global stats registry on and no recorder attached, a warm
-  // batch records nothing: no span runs, so no wall.phase.* histogram is
-  // observed — for Algorithm 1 exactly as for Algorithm 2.
-  auto& registry = stats::StatsRegistry::global();
-  const bool stats_were_enabled = registry.enabled();
-  registry.set_enabled(true);
-  auto wall_observations = [&] {
-    std::uint64_t n = 0;
-    for (const auto& h : registry.snapshot().histograms)
-      if (h.name.rfind("wall.phase.", 0) == 0) n += h.hist.count();
-    return n;
-  };
-  const Alg1Fixture f1;
-  const Alg2Fixture f2;
-  const mesh::CostModel m;
-  PreparedSearch alg1(f1.dag, PlanKind::kPaper, ds::HashWalk{0}, m,
-                      f1.shape);
-  PreparedSearch alg2(EngineKind::kAlg2Alpha, f2.tree.graph(),
-                      f2.tree.alpha_splitting(), f2.tree.alpha_splitting(),
-                      f2.tree.rank_count(), m, f2.shape);
-  auto s1 = f1.stream(f1.shape.size());
-  auto s2 = f2.stream(f2.shape.size());
-  const std::uint64_t before = wall_observations();
-  alg2.run_batch(s2);
-  EXPECT_EQ(wall_observations(), before) << "Algorithm 2";
-  alg1.run_batch(s1);
-  EXPECT_EQ(wall_observations(), before) << "Algorithm 1";
-  registry.set_enabled(stats_were_enabled);
 }
 
 TEST(StreamWarm, SecondStreamOnWarmEngineChargesNoSetup) {
@@ -551,9 +519,8 @@ TEST(StreamPolicy, PlanBatchesCoversEveryIndexExactlyOnce) {
   const auto stream = fx.stream(1000);
   for (const auto order : {BatchOrder::kFifo, BatchOrder::kLocalityReorder}) {
     BatchPolicy policy;
-    policy.batch_size = 96;
     policy.order = order;
-    const auto batches = plan_batches(stream, policy, 256);
+    const auto batches = plan_batches(stream, policy, 96);
     std::vector<std::uint8_t> seen(stream.size(), 0);
     for (const auto& b : batches) {
       EXPECT_FALSE(b.empty());
@@ -573,10 +540,9 @@ TEST(StreamPolicy, LocalityReorderSortsEachWindowByKey) {
   const Alg1Fixture fx;
   const auto stream = fx.stream(777);
   BatchPolicy policy;
-  policy.batch_size = 64;
-  policy.window = 256;
   policy.order = BatchOrder::kLocalityReorder;
-  const auto batches = plan_batches(stream, policy, 1024);
+  // Capacity 64: the window is 4 batches, 256 queries.
+  const auto batches = plan_batches(stream, policy, 64);
   // Flatten back: within every 256-index window the keys ascend.
   std::vector<std::uint32_t> flat;
   for (const auto& b : batches) flat.insert(flat.end(), b.begin(), b.end());
@@ -600,10 +566,8 @@ TEST(StreamPolicy, LocalityReorderKeepsArrivalOrderOnDuplicateKeys) {
     q.key[2] = 0;
   }
   BatchPolicy policy;
-  policy.batch_size = 64;
-  policy.window = 256;
   policy.order = BatchOrder::kLocalityReorder;
-  const auto batches = plan_batches(stream, policy, 1024);
+  const auto batches = plan_batches(stream, policy, 64);  // 256-query window
   std::vector<std::uint32_t> flat;
   for (const auto& b : batches) flat.insert(flat.end(), b.begin(), b.end());
   ASSERT_EQ(flat.size(), stream.size());
@@ -616,17 +580,6 @@ TEST(StreamPolicy, LocalityReorderKeepsArrivalOrderOnDuplicateKeys) {
     EXPECT_TRUE(ka < kb || (ka == kb && flat[i - 1] < flat[i]))
         << "duplicate keys broke arrival order at position " << i;
   }
-}
-
-TEST(StreamPolicy, BatchSizeClampedToCapacity) {
-  const Alg1Fixture fx;
-  const auto stream = fx.stream(300);
-  BatchPolicy policy;
-  policy.batch_size = 100000;  // far beyond capacity
-  const auto batches = plan_batches(stream, policy, 128);
-  ASSERT_EQ(batches.size(), 3u);
-  EXPECT_EQ(batches[0].size(), 128u);
-  EXPECT_EQ(batches[2].size(), 44u);
 }
 
 TEST(StreamPolicy, EmptyStreamYieldsNoBatchesAndZeroCost) {
@@ -872,8 +825,8 @@ TEST(StreamEdge, PartitionedPreparedSearchRejectsAlg1Kind) {
 
 // ---------------------------------------------------------------------------
 // plan_batches edge contracts: each formerly-implicit behavior is now
-// defined and pinned (empty stream, batch_size == 0, oversize clamp, zero
-// capacity), for both batch orders.
+// defined and pinned (empty stream, capacity-sized batches, zero capacity),
+// for both batch orders.
 // ---------------------------------------------------------------------------
 
 TEST(StreamEdge, PlanBatchesEmptyStreamYieldsNoBatches) {
@@ -887,28 +840,18 @@ TEST(StreamEdge, PlanBatchesEmptyStreamYieldsNoBatches) {
   }
 }
 
-TEST(StreamEdge, PlanBatchesZeroBatchSizeMeansCapacity) {
+TEST(StreamEdge, PlanBatchesAreCapacitySized) {
   const Alg1Fixture fx;
   const auto stream = fx.stream(3 * 50 + 7);
-  BatchPolicy policy;
-  policy.batch_size = 0;
-  const auto batches = plan_batches(stream, policy, 50);
-  ASSERT_EQ(batches.size(), 4u);
-  for (std::size_t i = 0; i + 1 < batches.size(); ++i)
-    EXPECT_EQ(batches[i].size(), 50u);  // full capacity, not some default
-  EXPECT_EQ(batches.back().size(), 7u);
-}
-
-TEST(StreamEdge, PlanBatchesOversizeBatchClampedToCapacity) {
-  const Alg1Fixture fx;
-  const auto stream = fx.stream(100);
-  BatchPolicy policy;
-  policy.batch_size = 1000;  // larger than capacity: the clamp is a guarantee
-  const auto batches = plan_batches(stream, policy, 32);
-  for (const auto& b : batches) EXPECT_LE(b.size(), 32u);
-  std::size_t total = 0;
-  for (const auto& b : batches) total += b.size();
-  EXPECT_EQ(total, stream.size());
+  for (const auto order : {BatchOrder::kFifo, BatchOrder::kLocalityReorder}) {
+    BatchPolicy policy;
+    policy.order = order;
+    const auto batches = plan_batches(stream, policy, 50);
+    ASSERT_EQ(batches.size(), 4u);
+    for (std::size_t i = 0; i + 1 < batches.size(); ++i)
+      EXPECT_EQ(batches[i].size(), 50u);  // full capacity, not some default
+    EXPECT_EQ(batches.back().size(), 7u);
+  }
 }
 
 TEST(StreamEdge, PlanBatchesZeroCapacityIsInvalidInput) {

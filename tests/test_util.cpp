@@ -167,13 +167,12 @@ TEST(ParallelFor, EmptyAndTinyRanges) {
 }
 
 TEST(ParallelFor, PropagatesExceptions) {
-  EXPECT_THROW(
-      util::ThreadPool::global().parallel_for(
-          0, 10000,
-          [](std::size_t i) {
-            if (i == 4321) throw std::runtime_error("boom");
-          }),
-      std::runtime_error);
+  EXPECT_THROW(util::parallel_for(0, 10000,
+                                  [](std::size_t i) {
+                                    if (i == 4321)
+                                      throw std::runtime_error("boom");
+                                  }),
+               std::runtime_error);
 }
 
 TEST(ParallelFor, MultiThrowPropagatesLowestIndexDeterministically) {
@@ -186,7 +185,7 @@ TEST(ParallelFor, MultiThrowPropagatesLowestIndexDeterministically) {
     util::ThreadPool::set_global_threads(threads);
     std::string caught;
     try {
-      util::ThreadPool::global().parallel_for(
+      util::parallel_for(
           0, 100000,
           [](std::size_t i) {
             // Many throwing indices spread across the range so that with
@@ -205,11 +204,15 @@ TEST(ParallelFor, MultiThrowPropagatesLowestIndexDeterministically) {
 TEST(ParallelFor, PoolIsReusableAfterException) {
   auto& pool = util::ThreadPool::global();
   try {
-    pool.parallel_for(0, 100, [](std::size_t) { throw std::runtime_error("x"); });
+    pool.parallel_for_chunks(0, 100, [](std::size_t, std::size_t) {
+      throw std::runtime_error("x");
+    });
   } catch (const std::runtime_error&) {
   }
   std::atomic<int> c{0};
-  pool.parallel_for(0, 1000, [&](std::size_t) { ++c; });
+  pool.parallel_for_chunks(0, 1000, [&](std::size_t lo, std::size_t hi) {
+    c += static_cast<int>(hi - lo);
+  });
   EXPECT_EQ(c.load(), 1000);
 }
 
@@ -225,16 +228,15 @@ TEST(ParallelFor, DeterministicResults) {
 }
 
 TEST(ParallelFor, InvertedRangeIsEmpty) {
-  // begin > end must be an empty range on every overload; with unsigned
+  // begin > end must be an empty range on every entry point; with unsigned
   // arithmetic a missing guard turns it into a near-2^64 iteration count.
   int count = 0;
   util::parallel_for(std::size_t{10}, std::size_t{2},
                      [&](std::size_t) { ++count; });
   EXPECT_EQ(count, 0);
+  // A std::function lvalue binds to the same template.
   const std::function<void(std::size_t)> body = [&](std::size_t) { ++count; };
   util::parallel_for(std::size_t{10}, std::size_t{2}, body);
-  EXPECT_EQ(count, 0);
-  util::ThreadPool::global().parallel_for(10, 2, body);
   EXPECT_EQ(count, 0);
   util::ThreadPool::global().parallel_for_chunks(
       10, 2, [&](std::size_t, std::size_t) { ++count; });
