@@ -343,15 +343,14 @@ class PreparedSearch {
   /// cache must not dangle); `g` and `m` must outlive the engine.
   PreparedSearch(EngineKind kind, const DistributedGraph& g, Splitting psi_a,
                  Splitting psi_b, P prog, const mesh::CostModel& m,
-                 mesh::MeshShape shape, bool duplicate_copies = true)
+                 mesh::MeshShape shape)
       : kind_(kind),
         g_(&g),
         psi_a_(std::move(psi_a)),
         psi_b_(std::move(psi_b)),
         prog_(std::move(prog)),
         m_(&m),
-        shape_(shape),
-        duplicate_copies_(duplicate_copies) {
+        shape_(shape) {
     if (kind != EngineKind::kAlg2Alpha && kind != EngineKind::kAlg3AlphaBeta)
       invalid_input("partitioned PreparedSearch requires an Alg 2/3 kind",
                     "PreparedSearch");
@@ -521,7 +520,7 @@ class PreparedSearch {
       case EngineKind::kAlg3AlphaBeta: {
         const PartitionedRunResult r = detail::partitioned_core(
             *g_, psi_a_, cap_a_, psi_b_, cap_b_, prog_, batch, *m_, shape_,
-            duplicate_copies_);
+            /*duplicate_copies=*/true);
         rep.run = r.cost;
         rep.visits = r.total_visits;
         rep.copies = r.copies;
@@ -612,7 +611,6 @@ class PreparedSearch {
   P prog_;
   const mesh::CostModel* m_;
   mesh::MeshShape shape_;
-  bool duplicate_copies_ = true;
   mesh::Cost setup_cost_;
   std::size_t batches_served_ = 0;
   std::string dataset_ = "<unnamed>";

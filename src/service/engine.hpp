@@ -105,11 +105,10 @@ class PreparedEngine final : public Engine {
   /// Warm Algorithm-2/3 engine.
   PreparedEngine(msearch::EngineKind kind, const msearch::DistributedGraph& g,
                  msearch::Splitting psi_a, msearch::Splitting psi_b, P prog,
-                 const mesh::CostModel& model, mesh::MeshShape shape,
-                 bool duplicate_copies = true)
+                 const mesh::CostModel& model, mesh::MeshShape shape)
       : model_(model),
         prepared_(kind, g, std::move(psi_a), std::move(psi_b),
-                  std::move(prog), model_, shape, duplicate_copies) {}
+                  std::move(prog), model_, shape) {}
 
   msearch::EngineKind kind() const override { return prepared_.kind(); }
   std::size_t capacity() const override { return prepared_.capacity(); }
@@ -164,11 +163,10 @@ template <msearch::SearchProgram P>
 std::unique_ptr<Engine> make_partitioned_engine(
     msearch::EngineKind kind, const msearch::DistributedGraph& g,
     msearch::Splitting psi_a, msearch::Splitting psi_b, P prog,
-    const mesh::CostModel& model, mesh::MeshShape shape,
-    bool duplicate_copies = true) {
+    const mesh::CostModel& model, mesh::MeshShape shape) {
   return std::make_unique<PreparedEngine<P>>(
       kind, g, std::move(psi_a), std::move(psi_b), std::move(prog), model,
-      shape, duplicate_copies);
+      shape);
 }
 
 /// Identity of a warm structure: which dataset it was prepared on and which

@@ -50,9 +50,6 @@ TenantSession& ServiceScheduler::add_tenant(std::string name, Engine& engine,
   if (quota.max_outstanding == 0)
     msearch::invalid_input("tenant quota requires max_outstanding >= 1",
                            "ServiceScheduler");
-  if (quota.weight == 0)
-    msearch::invalid_input("tenant quota requires weight >= 1",
-                           "ServiceScheduler");
   if (slo.deadline_steps < 0 || slo.p99_target_steps < 0)
     msearch::invalid_input(
         "tenant SLO policy requires non-negative deadline/p99 target",
@@ -63,9 +60,7 @@ TenantSession& ServiceScheduler::add_tenant(std::string name, Engine& engine,
         "would shed every query at its first dispatch opportunity)",
         "ServiceScheduler");
   tenants_.push_back(std::make_unique<TenantSession>(std::move(name), engine,
-                                                     quota, slo, &clock_));
-  tenants_.back()->sched_ = this;
-  deficit_.push_back(0.0);
+                                                     quota, slo, *this));
   return *tenants_.back();
 }
 
@@ -88,7 +83,7 @@ bool ServiceScheduler::idle() const {
 }
 
 std::size_t ServiceScheduler::quantum_for(const TenantSession& t) const {
-  return t.engine().capacity() * t.quota().weight;
+  return t.engine().capacity();
 }
 
 void ServiceScheduler::advance_clock_to(double steps) {
@@ -100,21 +95,21 @@ void ServiceScheduler::resolve(TenantSession& t, std::uint32_t idx,
                                QueryState state, double attempt_start,
                                bool dispatched) {
   MS_CHECK(state != QueryState::kPending);
+  MS_CHECK(t.state_[idx] == QueryState::kPending);
   t.state_[idx] = state;
   t.resolve_steps_[idx] = clock_;
-  MS_CHECK(t.outstanding_ > 0);
-  --t.outstanding_;
+  TenantReport& acct = t.acct_;
   switch (state) {
-    case QueryState::kDone: ++t.completed_; break;
-    case QueryState::kFailed: ++t.failed_; break;
-    case QueryState::kShed: ++t.shed_; break;
+    case QueryState::kDone: ++acct.completed; break;
+    case QueryState::kFailed: ++acct.failed_queries; break;
+    case QueryState::kShed: ++acct.shed; break;
     case QueryState::kPending: break;  // unreachable (checked above)
   }
   const double admitted = t.submit_steps_[idx];
   const double latency = clock_ - admitted;
   if (dispatched) {
-    t.queue_wait_steps_.observe(attempt_start - admitted);
-    t.latency_steps_.observe(latency);
+    acct.queue_wait_steps.observe(attempt_start - admitted);
+    acct.latency_steps.observe(latency);
   }
   if (t.callback_) {
     CompletionEvent ev;
@@ -144,8 +139,9 @@ std::size_t ServiceScheduler::shed_expired(TenantSession& t) {
 }
 
 bool ServiceScheduler::over_target(const TenantSession& t) const {
-  return t.slo_.p99_target_steps > 0 && !t.latency_steps_.empty() &&
-         t.latency_steps_.p99() > t.slo_.p99_target_steps;
+  const util::LogHistogram& latency = t.acct_.latency_steps;
+  return t.slo_.p99_target_steps > 0 && !latency.empty() &&
+         latency.p99() > t.slo_.p99_target_steps;
 }
 
 double ServiceScheduler::retry_after_hint(const TenantSession& t,
@@ -163,7 +159,7 @@ double ServiceScheduler::retry_after_hint(const TenantSession& t,
   std::size_t resolved_total = 0;
   double round_queries = 0;
   for (const auto& tp : tenants_) {
-    resolved_total += tp->completed_ + tp->failed_ + tp->shed_;
+    resolved_total += tp->resolved();
     round_queries += static_cast<double>(quantum_for(*tp));
   }
   const double per_query =
@@ -185,7 +181,7 @@ ServiceScheduler::ServeOutcome ServiceScheduler::serve_slice(
   // resolved: those queries will never be attempted.
   if (!t.updates_.empty()) {
     const std::size_t barrier = t.updates_.front().barrier;
-    const std::size_t resolved = t.completed_ + t.failed_ + t.shed_;
+    const std::size_t resolved = t.resolved();
     window = barrier > resolved ? std::min(window, barrier - resolved) : 0;
   }
   if (window == 0 || t.queue_.empty()) return out;
@@ -202,7 +198,7 @@ ServiceScheduler::ServeOutcome ServiceScheduler::serve_slice(
       // retry-budget burn, no clock advance. Still never silent: every
       // ticket flips to kFailed and the completion callback fires.
       breaker.count_fail_fast(cur.indices.size());
-      t.failed_fast_ += cur.indices.size();
+      t.acct_.failed_fast += cur.indices.size();
       for (const auto idx : cur.indices)
         resolve(t, idx, QueryState::kFailed, clock_, /*dispatched=*/false);
       out.resolved += cur.indices.size();
@@ -220,25 +216,25 @@ ServiceScheduler::ServeOutcome ServiceScheduler::serve_slice(
   if (a.outcome == msearch::SliceOutcome::kReslice) {
     out.faulted = true;
     breaker.record_failure(round_);
-    ++t.replans_;
+    ++t.acct_.replans;
     // Front, not back: the tenant's own later arrivals must not overtake
     // its failed queries.
     t.queue_.requeue_split_front(cur, a.capacity);
     return out;
   }
-  ++t.batches_;
+  ++t.acct_.batches;
   QueryState state = QueryState::kDone;
   if (a.outcome == msearch::SliceOutcome::kDone) {
     clock_ += (a.report.inject + a.report.run).steps;
-    t.inject_ += a.report.inject;
-    t.run_ += a.report.run;
+    t.acct_.inject += a.report.inject;
+    t.acct_.run += a.report.run;
     breaker.record_success();
   } else {
     // Reported failed, never silently wrong: the tickets stay at their
     // checkpoint state and flip to kFailed.
     out.faulted = true;
     breaker.record_failure(round_);
-    ++t.degraded_batches_;
+    ++t.acct_.degraded_batches;
     state = QueryState::kFailed;
   }
   for (const auto idx : cur.indices)
@@ -268,18 +264,17 @@ void ServiceScheduler::apply_ready_updates(TenantSession& t) {
       // the refresh fault-free: applied-after-degradation, never wedged.
       t.fault_->degrade();
       t.fault_->count_degraded_batch();
-      ++t.degraded_refreshes_;
+      ++t.acct_.degraded_refreshes;
       engine.bind_sinks(trace_, nullptr);
       rep = engine.refresh(req);
     }
     clock_ += rep.cost.steps;
-    t.refresh_ += rep.cost;
+    t.acct_.refresh += rep.cost;
     t.updates_.pop_front();  // releases whatever the UpdateFn captured
-    ++t.updates_applied_;
     if (rep.incremental)
-      ++t.incremental_refreshes_;
+      ++t.acct_.incremental_refreshes;
     else
-      ++t.full_refreshes_;
+      ++t.acct_.full_refreshes;
   }
 }
 
@@ -297,14 +292,14 @@ std::size_t ServiceScheduler::pump() {
     if (brownout) ++brownout_rounds_;
   }
   std::size_t resolved = 0;
-  for (std::size_t i = 0; i < tenants_.size(); ++i) {
-    TenantSession& t = *tenants_[i];
+  for (const auto& tp : tenants_) {
+    TenantSession& t = *tp;
     apply_ready_updates(t);
     // Shed before the empty check: a queue made entirely of expired work
     // must still resolve (kShed) this round, not linger as phantom backlog.
     resolved += shed_expired(t);
     if (t.queue_.empty()) {
-      deficit_[i] = 0;  // no banking while idle
+      t.deficit_ = 0;  // no banking while idle
       continue;
     }
     if (cfg_.policy == SchedulePolicy::kExhaustive) {
@@ -315,7 +310,7 @@ std::size_t ServiceScheduler::pump() {
         resolved += serve_slice(t, t.slice_cap()).resolved;
         apply_ready_updates(t);
       }
-      deficit_[i] = 0;
+      t.deficit_ = 0;
       continue;
     }
     std::size_t quantum = quantum_for(t);
@@ -323,14 +318,13 @@ std::size_t ServiceScheduler::pump() {
       // Over-target tenants yield: scaled quantum (floored at 1) shifts
       // this round's service toward tenants still inside their targets.
       quantum = scale_count(quantum, kBrownoutQuantumScale);
-      ++t.brownout_deprioritized_;
+      ++t.acct_.brownout_deprioritized;
     }
-    deficit_[i] += static_cast<double>(quantum);
-    while (!t.queue_.empty() && deficit_[i] >= 1.0) {
-      const std::size_t window = std::min(
-          t.slice_cap(), static_cast<std::size_t>(deficit_[i]));
-      const ServeOutcome out = serve_slice(t, window);
-      deficit_[i] -= static_cast<double>(out.taken);
+    t.deficit_ += quantum;
+    while (!t.queue_.empty() && t.deficit_ > 0) {
+      const ServeOutcome out =
+          serve_slice(t, std::min(t.slice_cap(), t.deficit_));
+      t.deficit_ -= out.taken;
       resolved += out.resolved;
       // A faulted attempt ends the tenant's turn: its retries queue behind
       // everyone else's round instead of taxing co-resident tenants now.
@@ -340,7 +334,7 @@ std::size_t ServiceScheduler::pump() {
       // are always served by the refreshed engine.
       apply_ready_updates(t);
     }
-    if (t.queue_.empty()) deficit_[i] = 0;
+    if (t.queue_.empty()) t.deficit_ = 0;
   }
   return resolved;
 }
@@ -362,37 +356,35 @@ void ServiceScheduler::export_metrics() const {
   if (trace_ == nullptr) return;
   // Deterministic counts and charges only — wall time stays in the span
   // histograms, keeping rec->metric() bit-identical across runs.
-  const auto metric = [&](const TenantSession& t, const char* name,
-                          double value) {
-    trace_->metric(trace::tenant_metric(t.name_, name), value);
-  };
   for (const auto& tp : tenants_) {
-    const TenantSession& t = *tp;
-    metric(t, "submitted", static_cast<double>(t.stream_.size()));
-    metric(t, "completed", static_cast<double>(t.completed_));
-    metric(t, "failed_queries", static_cast<double>(t.failed_));
-    metric(t, "rejected_queries", static_cast<double>(t.rejected_queries_));
-    metric(t, "rejected_backpressure",
-           static_cast<double>(t.rejected_backpressure_));
-    metric(t, "shed", static_cast<double>(t.shed_));
-    metric(t, "failed_fast", static_cast<double>(t.failed_fast_));
-    metric(t, "brownout_deprioritized",
-           static_cast<double>(t.brownout_deprioritized_));
-    metric(t, "batches", static_cast<double>(t.batches_));
-    metric(t, "degraded_batches", static_cast<double>(t.degraded_batches_));
-    metric(t, "replans", static_cast<double>(t.replans_));
-    metric(t, "updates_submitted", static_cast<double>(t.updates_submitted_));
-    metric(t, "updates_applied", static_cast<double>(t.updates_applied_));
-    metric(t, "incremental_refreshes",
-           static_cast<double>(t.incremental_refreshes_));
-    metric(t, "full_refreshes", static_cast<double>(t.full_refreshes_));
-    metric(t, "degraded_refreshes",
-           static_cast<double>(t.degraded_refreshes_));
-    metric(t, "refresh_steps", t.refresh_.steps);
-    metric(t, "charged_steps", (t.inject_ + t.run_ + t.refresh_).steps);
-    if (t.fault_ != nullptr)
-      mesh::record_fault_metrics(trace_, *t.fault_,
-                                 trace::tenant_metric(t.name_, ""));
+    const TenantReport r = tp->report();
+    const auto metric = [&](const char* name, double value) {
+      trace_->metric(trace::tenant_metric(r.tenant, name), value);
+    };
+    metric("submitted", static_cast<double>(r.submitted));
+    metric("completed", static_cast<double>(r.completed));
+    metric("failed_queries", static_cast<double>(r.failed_queries));
+    metric("rejected_queries", static_cast<double>(r.rejected_queries));
+    metric("rejected_backpressure",
+           static_cast<double>(r.rejected_backpressure));
+    metric("shed", static_cast<double>(r.shed));
+    metric("failed_fast", static_cast<double>(r.failed_fast));
+    metric("brownout_deprioritized",
+           static_cast<double>(r.brownout_deprioritized));
+    metric("batches", static_cast<double>(r.batches));
+    metric("degraded_batches", static_cast<double>(r.degraded_batches));
+    metric("replans", static_cast<double>(r.replans));
+    metric("updates_submitted", static_cast<double>(r.updates_submitted));
+    metric("updates_applied", static_cast<double>(r.updates_applied));
+    metric("incremental_refreshes",
+           static_cast<double>(r.incremental_refreshes));
+    metric("full_refreshes", static_cast<double>(r.full_refreshes));
+    metric("degraded_refreshes", static_cast<double>(r.degraded_refreshes));
+    metric("refresh_steps", r.refresh.steps);
+    metric("charged_steps", r.charged().steps);
+    if (tp->fault_ != nullptr)
+      mesh::record_fault_metrics(trace_, *tp->fault_,
+                                 trace::tenant_metric(r.tenant, ""));
   }
   trace_->metric("service.tenants", static_cast<double>(tenants_.size()));
   trace_->metric("service.clock_steps", clock_);

@@ -7,15 +7,15 @@
 //
 //   * kDeficitRoundRobin (default) — classic DRR with queries as the cost
 //     unit. Each pump() round visits tenants in registration order; a
-//     backlogged tenant earns capacity * weight credits (capacity = its
-//     engine's mesh capacity, one full batch per round: the initial
-//     configuration puts at most one query on each processor) and is served
-//     front-of-queue slices
-//     (BatchSource::pop_upto) no larger than its remaining credit until the
-//     credit or the queue runs out. Credits of an emptied queue are
-//     forfeited (no banking while idle) — the property the fairness tests
-//     pin: a light tenant's queue wait is bounded by one round of everyone
-//     else's quanta, regardless of how deep a heavy tenant's backlog is.
+//     backlogged tenant earns its engine's mesh capacity in credits (one
+//     full batch per round: the initial configuration puts at most one
+//     query on each processor), kept in its session, and is served
+//     front-of-queue slices (BatchSource::pop_upto) no larger than its
+//     remaining credit until the credit or the queue runs out. Credits of
+//     an emptied queue are forfeited (no banking while idle) — the property
+//     the fairness tests pin: a light tenant's queue wait is bounded by one
+//     round of everyone else's quanta, regardless of how deep a heavy
+//     tenant's backlog is.
 //   * kExhaustive — serve each tenant to empty before moving on: the unfair
 //     baseline the fairness suite compares against (first-registered tenant
 //     starves the rest).
@@ -44,9 +44,10 @@
 // retries. After max_replans generations the piece is reported failed
 // (kFailed tickets, TenantReport::failed_queries) — never silently wrong.
 //
-// Counts live in one place each: TenantSession fields, breaker counters and
-// the scheduler's round counters. export_metrics() publishes them as
-// gauges; only span wall times go to the recorder's stats registry as they
+// Counts live in one place each: each TenantSession's accounting record
+// (a TenantReport, whose outstanding/updates_applied are derived on
+// report()), breaker counters and the scheduler's round counters.
+// export_metrics() publishes them as gauges; only span wall times go to the recorder's stats registry as they
 // happen — each batch attempt runs in a "service.batch N" span, whose
 // wall.phase.service.batch histogram is the one per-batch wall timer.
 //
@@ -210,13 +211,12 @@ class ServiceScheduler {
   /// latency p99 is above it.
   bool over_target(const TenantSession& t) const;
 
-  /// DRR credits `t` earns per round: its engine's capacity * weight.
+  /// DRR credits `t` earns per round: its engine's capacity.
   std::size_t quantum_for(const TenantSession& t) const;
 
   ServiceConfig cfg_;
   trace::TraceRecorder* trace_;
   std::vector<std::unique_ptr<TenantSession>> tenants_;
-  std::vector<double> deficit_;  ///< parallel to tenants_
   double clock_ = 0;             ///< virtual time, simulated mesh steps
   std::size_t serial_ = 0;       ///< batch span numbering, attempt order
   std::uint64_t round_ = 0;      ///< pump() rounds; the breaker probe clock

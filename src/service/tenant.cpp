@@ -18,13 +18,9 @@ const char* shed_mode_name(ShedMode m) {
 
 TenantSession::TenantSession(std::string name, Engine& engine,
                              TenantQuota quota, SloPolicy slo,
-                             const double* clock)
-    : name_(std::move(name)),
-      engine_(&engine),
-      quota_(quota),
-      slo_(slo),
-      clock_(clock) {
-  MS_CHECK_MSG(clock_ != nullptr, "TenantSession requires a service clock");
+                             ServiceScheduler& sched)
+    : engine_(&engine), quota_(quota), slo_(slo), sched_(sched) {
+  acct_.tenant = std::move(name);
 }
 
 Submission TenantSession::submit(std::vector<msearch::Query> queries) {
@@ -32,19 +28,19 @@ Submission TenantSession::submit(std::vector<msearch::Query> queries) {
   sub.first = stream_.size();
   if (queries.empty()) return sub;
   const std::size_t n = queries.size();
-  if (outstanding_ + n > quota_.max_outstanding) {
+  if (outstanding() + n > quota_.max_outstanding) {
     // Reject the whole call before anything is enqueued or charged; the
     // caller can split/shrink and retry once earlier work completes.
-    ++rejected_submissions_;
-    rejected_queries_ += n;
+    ++acct_.rejected_submissions;
+    acct_.rejected_queries += n;
     ErrorContext ctx;
     ctx.engine = "service";
     ctx.phase = "admission";
-    ctx.site = name_;
+    ctx.site = name();
     throw CapacityError(
-        "tenant '" + name_ + "' submit of " + std::to_string(n) +
+        "tenant '" + name() + "' submit of " + std::to_string(n) +
             " queries exceeds max_outstanding quota (" +
-            std::to_string(outstanding_) + " outstanding, quota " +
+            std::to_string(outstanding()) + " outstanding, quota " +
             std::to_string(quota_.max_outstanding) + ")",
         std::move(ctx));
   }
@@ -54,17 +50,16 @@ Submission TenantSession::submit(std::vector<msearch::Query> queries) {
     // is already serving. Rejected whole, nothing enqueued or charged, and
     // the error carries a retry-after hint in virtual steps from the DRR
     // drain-rate estimate so a caller can back off deterministically.
-    ++rejected_submissions_;
-    rejected_queries_ += n;
-    rejected_backpressure_ += n;
-    const double retry_after =
-        sched_ != nullptr ? sched_->retry_after_hint(*this, n) : 0.0;
+    ++acct_.rejected_submissions;
+    acct_.rejected_queries += n;
+    acct_.rejected_backpressure += n;
+    const double retry_after = sched_.retry_after_hint(*this, n);
     ErrorContext ctx;
     ctx.engine = "service";
     ctx.phase = "admission";
-    ctx.site = name_;
+    ctx.site = name();
     throw BackpressureError(
-        "tenant '" + name_ + "' submit of " + std::to_string(n) +
+        "tenant '" + name() + "' submit of " + std::to_string(n) +
             " queries exceeds max_queue backpressure watermark (" +
             std::to_string(queue_.pending_queries()) + " queued, watermark " +
             std::to_string(slo_.max_queue) + "); retry after ~" +
@@ -75,7 +70,7 @@ Submission TenantSession::submit(std::vector<msearch::Query> queries) {
   sub.count = n;
   std::vector<std::uint32_t> indices;
   indices.reserve(n);
-  const double now = *clock_;
+  const double now = sched_.now_steps();
   for (auto& q : queries) {
     indices.push_back(static_cast<std::uint32_t>(stream_.size()));
     stream_.push_back(std::move(q));
@@ -84,7 +79,6 @@ Submission TenantSession::submit(std::vector<msearch::Query> queries) {
     resolve_steps_.push_back(0);
   }
   queue_.enqueue(std::move(indices));
-  outstanding_ += n;
   return sub;
 }
 
@@ -93,16 +87,16 @@ std::size_t TenantSession::submit_update(UpdateFn mutate) {
     ErrorContext ctx;
     ctx.engine = "service";
     ctx.phase = "admission";
-    ctx.site = name_;
+    ctx.site = name();
     throw InvalidInputError(
-        "tenant '" + name_ + "' submit_update requires a callable",
+        "tenant '" + name() + "' submit_update requires a callable",
         std::move(ctx));
   }
   PendingUpdate u;
   u.mutate = std::move(mutate);
   u.barrier = stream_.size();
   updates_.push_back(std::move(u));
-  return updates_submitted_++;
+  return acct_.updates_submitted++;
 }
 
 QueryState TenantSession::poll(Ticket t) const {
@@ -121,8 +115,8 @@ const msearch::Query& TenantSession::result(Ticket t) const {
     ErrorContext ctx;
     ctx.engine = "service";
     ctx.phase = "result";
-    ctx.site = name_;
-    throw DeadlineExceededError(name_, engine_->dataset(), submit_steps_[t],
+    ctx.site = name();
+    throw DeadlineExceededError(name(), engine_->dataset(), submit_steps_[t],
                                 slo_.deadline_steps, resolve_steps_[t],
                                 std::move(ctx));
   }
@@ -137,31 +131,10 @@ std::size_t TenantSession::slice_cap() const {
 }
 
 TenantReport TenantSession::report() const {
-  TenantReport rep;
-  rep.tenant = name_;
-  rep.submitted = stream_.size();
-  rep.completed = completed_;
-  rep.failed_queries = failed_;
-  rep.outstanding = outstanding_;
-  rep.rejected_submissions = rejected_submissions_;
-  rep.rejected_queries = rejected_queries_;
-  rep.rejected_backpressure = rejected_backpressure_;
-  rep.shed = shed_;
-  rep.failed_fast = failed_fast_;
-  rep.brownout_deprioritized = brownout_deprioritized_;
-  rep.batches = batches_;
-  rep.degraded_batches = degraded_batches_;
-  rep.replans = replans_;
-  rep.updates_submitted = updates_submitted_;
-  rep.updates_applied = updates_applied_;
-  rep.incremental_refreshes = incremental_refreshes_;
-  rep.full_refreshes = full_refreshes_;
-  rep.degraded_refreshes = degraded_refreshes_;
-  rep.inject = inject_;
-  rep.run = run_;
-  rep.refresh = refresh_;
-  rep.queue_wait_steps = queue_wait_steps_;
-  rep.latency_steps = latency_steps_;
+  TenantReport rep = acct_;
+  rep.submitted = submitted();
+  rep.outstanding = outstanding();
+  rep.updates_applied = updates_applied();
   return rep;
 }
 

@@ -76,13 +76,12 @@ struct SloPolicy {
   ShedMode shed_mode = ShedMode::kNone;
 };
 
-/// Per-tenant admission and scheduling limits.
+/// Per-tenant admission limit. (Scheduling needs no per-tenant knob: the
+/// DRR quantum is the tenant's engine capacity, scheduler.hpp.)
 struct TenantQuota {
   /// Queued + running queries the tenant may have in flight. A submit that
   /// would exceed this is rejected whole with CapacityError.
   std::size_t max_outstanding = 1024;
-  /// Deficit-round-robin weight: a weight-w tenant earns w quanta per round.
-  std::uint32_t weight = 1;
 };
 
 enum class QueryState : std::uint8_t {
@@ -122,7 +121,9 @@ using CompletionFn = std::function<void(const CompletionEvent&)>;
 /// been refreshed for.
 using UpdateFn = std::function<msearch::RefreshRequest()>;
 
-/// Snapshot of one tenant's service-level accounting.
+/// Snapshot of one tenant's service-level accounting. A TenantSession keeps
+/// its live accounting in one of these; `submitted`, `outstanding` and
+/// `updates_applied` are derived, filled in only by report().
 struct TenantReport {
   std::string tenant;
   std::size_t submitted = 0;        ///< admitted queries
@@ -163,17 +164,16 @@ struct TenantReport {
 
 class TenantSession {
  public:
-  /// Built by ServiceScheduler::add_tenant. `clock` points at the service's
-  /// virtual clock (stable for the scheduler's lifetime).
+  /// Built by ServiceScheduler::add_tenant; `sched` owns the session, and
+  /// its virtual clock stamps admissions.
   TenantSession(std::string name, Engine& engine, TenantQuota quota,
-                SloPolicy slo, const double* clock);
+                SloPolicy slo, ServiceScheduler& sched);
 
   TenantSession(const TenantSession&) = delete;
   TenantSession& operator=(const TenantSession&) = delete;
 
-  const std::string& name() const { return name_; }
+  const std::string& name() const { return acct_.tenant; }
   Engine& engine() const { return *engine_; }
-  const TenantQuota& quota() const { return quota_; }
   const SloPolicy& slo() const { return slo_; }
 
   /// Admit `queries` or throw (tenant named in the error context, nothing
@@ -195,8 +195,11 @@ class TenantSession {
   /// has resolved. Throws InvalidInputError on a null callable.
   std::size_t submit_update(UpdateFn mutate);
 
-  std::size_t updates_submitted() const { return updates_submitted_; }
-  std::size_t updates_applied() const { return updates_applied_; }
+  std::size_t updates_submitted() const { return acct_.updates_submitted; }
+  /// Every applied update took exactly one refresh, incremental or full.
+  std::size_t updates_applied() const {
+    return acct_.incremental_refreshes + acct_.full_refreshes;
+  }
   std::size_t pending_updates() const { return updates_.size(); }
 
   QueryState poll(Ticket t) const;
@@ -210,7 +213,7 @@ class TenantSession {
   void on_complete(CompletionFn fn) { callback_ = std::move(fn); }
 
   std::size_t submitted() const { return stream_.size(); }
-  std::size_t outstanding() const { return outstanding_; }
+  std::size_t outstanding() const { return submitted() - resolved(); }
 
   /// Arm per-tenant fault injection: this tenant's batches run under `plan`
   /// (not owned, may be null = fault-free). Other tenants are untouched —
@@ -234,60 +237,42 @@ class TenantSession {
   /// capacity, clamped to the fault plan's surviving capacity.
   std::size_t slice_cap() const;
 
-  /// The next unapplied update exists and its barrier has resolved.
-  /// (Queries resolve in admission order, so resolved-count >= barrier is
-  /// exactly "everything admitted before the update is done." Shed counts
-  /// as resolved: a shed query will never be attempted, so waiting for it
-  /// would deadlock the update queue.)
-  bool update_ready() const {
-    return !updates_.empty() &&
-           completed_ + failed_ + shed_ >= updates_.front().barrier;
+  /// Queries answered, reported failed or shed. Shed counts as resolved: a
+  /// shed query will never be attempted.
+  std::size_t resolved() const {
+    return acct_.completed + acct_.failed_queries + acct_.shed;
   }
 
-  std::string name_;
+  /// The next unapplied update exists and its barrier has resolved.
+  /// (Queries resolve in admission order, so resolved() >= barrier is
+  /// exactly "everything admitted before the update is done"; waiting for
+  /// a shed query would deadlock the update queue.)
+  bool update_ready() const {
+    return !updates_.empty() && resolved() >= updates_.front().barrier;
+  }
+
   Engine* engine_;
   TenantQuota quota_;
   SloPolicy slo_;
-  const double* clock_;  ///< service virtual clock (owned by the scheduler)
-  /// Owning scheduler (set by add_tenant); source of the DRR-based
-  /// retry-after estimate that rides in BackpressureError.
-  ServiceScheduler* sched_ = nullptr;
+  /// Owning scheduler: its virtual clock stamps admissions, and it gives
+  /// the DRR-based retry-after estimate that rides in BackpressureError.
+  ServiceScheduler& sched_;
 
   std::vector<msearch::Query> stream_;   ///< all admitted queries, by ticket
   std::vector<QueryState> state_;        ///< parallel to stream_
   std::vector<double> submit_steps_;     ///< admission clock, parallel
   std::vector<double> resolve_steps_;    ///< resolution clock (0 = pending)
   msearch::BatchSource queue_;           ///< pending work the scheduler drains
-  std::size_t outstanding_ = 0;
   mesh::FaultPlan* fault_ = nullptr;     ///< not owned
   CompletionFn callback_;
-
-  // Report accumulators (histograms live here; counters snapshot into
-  // TenantReport).
-  std::size_t completed_ = 0;
-  std::size_t failed_ = 0;
-  std::size_t shed_ = 0;
-  std::size_t failed_fast_ = 0;
-  std::size_t rejected_submissions_ = 0;
-  std::size_t rejected_queries_ = 0;
-  std::size_t rejected_backpressure_ = 0;
-  std::size_t brownout_deprioritized_ = 0;
-  std::size_t batches_ = 0;
-  std::size_t degraded_batches_ = 0;
-  std::size_t replans_ = 0;
   /// Unapplied updates, in submission order; each leaves (and releases
   /// what its UpdateFn captured) once it has applied.
   std::deque<PendingUpdate> updates_;
-  std::size_t updates_submitted_ = 0;
-  std::size_t updates_applied_ = 0;
-  std::size_t incremental_refreshes_ = 0;
-  std::size_t full_refreshes_ = 0;
-  std::size_t degraded_refreshes_ = 0;
-  mesh::Cost inject_;
-  mesh::Cost run_;
-  mesh::Cost refresh_;
-  util::LogHistogram queue_wait_steps_;
-  util::LogHistogram latency_steps_;
+  /// DRR credit left this round, in queries (scheduler.hpp).
+  std::size_t deficit_ = 0;
+  /// The tenant's name, counters, charges and SLO histograms, updated by
+  /// the scheduler as work resolves; report() copies it.
+  TenantReport acct_;
 };
 
 }  // namespace meshsearch::service

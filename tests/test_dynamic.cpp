@@ -881,7 +881,21 @@ TEST(ServiceUpdates, FaultExhaustedRefreshDegradesAndStillApplies) {
     req.delta = tree.apply_updates({ds::WeightedKey{700, 1}}, {});
     return req;
   });
-  svc.run_until_idle();  // must terminate: degraded, then applied fault-free
+  // The report's derived counts agree with what they are derived from
+  // after every round.
+  const auto pump_to_idle = [&] {
+    while (!svc.idle()) {
+      svc.pump();
+      const service::TenantReport r = t.report();
+      EXPECT_EQ(r.outstanding,
+                r.submitted - r.completed - r.failed_queries - r.shed);
+      EXPECT_EQ(t.outstanding(), r.outstanding);
+      EXPECT_EQ(r.updates_applied,
+                r.incremental_refreshes + r.full_refreshes);
+      EXPECT_EQ(t.updates_applied(), r.updates_applied);
+    }
+  };
+  pump_to_idle();  // must terminate: degraded, then applied fault-free
   EXPECT_EQ(t.updates_applied(), 1u);
   const service::TenantReport rep = t.report();
   EXPECT_EQ(rep.degraded_refreshes, 1u);
@@ -897,7 +911,7 @@ TEST(ServiceUpdates, FaultExhaustedRefreshDegradesAndStillApplies) {
   t.set_fault(nullptr);
   auto served = rank_queries(shape.size() / 2, 800, 84);
   const service::Submission sub = t.submit(served);
-  svc.run_until_idle();
+  pump_to_idle();
   auto expect = served;
   sequential_multisearch(tree.graph(), tree.rank_count(), expect);
   std::vector<Query> got;

@@ -36,6 +36,19 @@ using namespace meshsearch::service;
 using ds::KaryTree;
 using ds::TreeMode;
 
+/// The report's derived counts agree with the ones it is derived from:
+/// every admitted query is outstanding or resolved exactly once, and every
+/// applied update took exactly one refresh.
+void expect_counts_consistent(const TenantSession& t) {
+  const TenantReport rep = t.report();
+  EXPECT_EQ(rep.outstanding,
+            rep.submitted - rep.completed - rep.failed_queries - rep.shed);
+  EXPECT_EQ(t.outstanding(), rep.outstanding);
+  EXPECT_EQ(rep.updates_applied,
+            rep.incremental_refreshes + rep.full_refreshes);
+  EXPECT_EQ(t.updates_applied(), rep.updates_applied);
+}
+
 // ---------------------------------------------------------------------------
 // Shared fixture: one directed k-ary tree and a warm Alg2 engine over it,
 // the same long-lived-structure pattern the service tests use.
@@ -493,7 +506,7 @@ TEST(Overload, BrownoutDeprioritizesOverTargetTenantOnly) {
 // sequence alone, at 1 vs 8 threads.
 // ---------------------------------------------------------------------------
 
-TEST(Overload, OverloadPipelineBitIdenticalAcrossThreadsAndStats) {
+TEST(Overload, OverloadPipelineBitIdenticalAcrossThreads) {
   const TreeFixture fx;
   const std::size_t cap = fx.shape.size();
   const double spb = fx.steps_per_batch();
@@ -551,8 +564,14 @@ TEST(Overload, OverloadPipelineBitIdenticalAcrossThreadsAndStats) {
       if (i == 2) a.set_fault(&plan);   // breaker trips here...
       if (i == 4) a.set_fault(nullptr); // ...and recovers via probe here
       svc.pump();
+      expect_counts_consistent(a);
+      expect_counts_consistent(b);
     }
-    svc.run_until_idle();
+    while (!svc.idle()) {
+      svc.pump();
+      expect_counts_consistent(a);
+      expect_counts_consistent(b);
+    }
     svc.export_metrics();
 
     Record r;

@@ -15,7 +15,6 @@
 #include "datastruct/workloads.hpp"
 #include "geometry/dk_polygon.hpp"
 #include "geometry/hull2d.hpp"
-#include "mesh/curve.hpp"
 #include "mesh/cycle_ops.hpp"
 #include "mesh/grid.hpp"
 #include "mesh/ops.hpp"
@@ -365,38 +364,6 @@ TEST(SoaKernelsEdge, ScratchArenaEpochsAndGrowth) {
   arena.begin(16);              // growth keeps old stamps stale
   for (std::size_t i = 0; i < 16; ++i) EXPECT_TRUE(arena.mark(i));
   for (std::size_t i = 0; i < 16; ++i) EXPECT_FALSE(arena.mark(i));
-}
-
-TEST(SoaKernelsEdge, HilbertCurveIsABijectionOfGridNeighbours) {
-  for (const std::uint32_t side : {1u, 2u, 4u, 8u, 32u}) {
-    const mesh::MeshShape shape(side);
-    std::vector<std::uint8_t> hit(shape.size(), 0);
-    mesh::Coord prev{};
-    for (std::size_t d = 0; d < shape.size(); ++d) {
-      const mesh::Coord c = mesh::hilbert_to_coord(side, d);
-      ASSERT_LT(c.row, side);
-      ASSERT_LT(c.col, side);
-      EXPECT_EQ(mesh::coord_to_hilbert(side, c), d);  // inverse round-trip
-      const std::size_t rm = static_cast<std::size_t>(c.row) * side + c.col;
-      EXPECT_FALSE(hit[rm]);
-      hit[rm] = 1;
-      if (d > 0) {  // consecutive Hilbert indices are grid neighbours
-        const std::size_t dist =
-            (c.row > prev.row ? c.row - prev.row : prev.row - c.row) +
-            (c.col > prev.col ? c.col - prev.col : prev.col - c.col);
-        EXPECT_EQ(dist, 1u);
-      }
-      prev = c;
-    }
-    // hilbert_order is a permutation of the snake indices.
-    const auto perm = mesh::hilbert_order(shape);
-    std::vector<std::uint8_t> seen(shape.size(), 0);
-    for (const auto s : perm) {
-      ASSERT_LT(s, shape.size());
-      EXPECT_FALSE(seen[s]);
-      seen[s] = 1;
-    }
-  }
 }
 
 // Satellite: the random-access primitives reject out-of-range addresses in
