@@ -1181,6 +1181,81 @@ TEST(FaultCycle, RawCombiningSurvivesInjection) {
   EXPECT_GT(plan.stats().detections, 0u);
 }
 
+TEST(FaultCycle, ArmedRoutePermutationIsPinned) {
+  // Grid::route_permutation under stalls, drops and corruption: the data is
+  // the fault-free routing's, and the step count and every routing counter
+  // are pinned (any change to the draw order moves them).
+  const mesh::MeshShape shape(16);
+  util::Rng rng(61);
+  std::vector<std::int64_t> data(shape.size());
+  for (auto& d : data) d = static_cast<std::int64_t>(rng.uniform(1ull << 40));
+  const auto dest = util::random_permutation(shape.size(), rng);
+  auto clean = mesh::Grid<std::int64_t>::from_snake(shape, data);
+  const std::size_t clean_steps = clean.route_permutation(dest);
+  mesh::FaultConfig cfg;
+  cfg.seed = 67;
+  cfg.p_stall = 0.02;
+  cfg.p_drop = 0.02;
+  cfg.p_corrupt = 0.02;
+  mesh::FaultPlan plan(cfg);
+  auto faulty = mesh::Grid<std::int64_t>::from_snake(shape, data);
+  faulty.set_fault(&plan);
+  const std::size_t faulty_steps = faulty.route_permutation(dest);
+  EXPECT_EQ(faulty.to_snake(), clean.to_snake());
+  EXPECT_EQ(clean_steps, 25u);
+  EXPECT_EQ(faulty_steps, 28u);
+  const auto s = plan.stats();
+  EXPECT_EQ(s.injected_stalls, 155u);
+  EXPECT_EQ(s.injected_drops, 61u);
+  EXPECT_EQ(s.corrupt_injected, 52u);
+  EXPECT_EQ(s.corrupt_detected, 52u);
+  EXPECT_EQ(s.corrupt_recovered, 52u);
+  EXPECT_EQ(s.detections, 268u);
+}
+
+TEST(FaultCycle, RoutingThatNeverDeliversExhaustsItsGuard) {
+  // p_drop = 1 drops every word, so the scaled convergence guard trips.
+  // The error replays: the plan's seed, and the routing epoch (one per
+  // call, drawn even by a call that moves nothing) as the occurrence.
+  const mesh::MeshShape shape(8);
+  mesh::FaultConfig cfg;
+  cfg.seed = 71;
+  cfg.p_drop = 1.0;
+  std::vector<std::uint32_t> identity(shape.size()), reverse(shape.size());
+  std::vector<std::int64_t> reverse64(shape.size());
+  for (std::size_t i = 0; i < shape.size(); ++i) {
+    identity[i] = static_cast<std::uint32_t>(i);
+    reverse[i] = static_cast<std::uint32_t>(shape.size() - 1 - i);
+    reverse64[i] = static_cast<std::int64_t>(reverse[i]);
+  }
+  const auto expect_exhausted = [&](auto&& route) {
+    try {
+      route();
+      FAIL() << "expected FaultExhaustedError";
+    } catch (const mesh::FaultExhaustedError& e) {
+      EXPECT_TRUE(e.context().has_seed);
+      EXPECT_EQ(e.seed(), 71u);
+      EXPECT_EQ(e.occurrence(), 1u);
+    }
+  };
+  {
+    mesh::FaultPlan plan(cfg);
+    mesh::Grid<std::int64_t> g(shape);
+    g.set_fault(&plan);
+    EXPECT_EQ(g.route_permutation(identity), 0u);  // epoch 0
+    expect_exhausted([&] { g.route_permutation(reverse); });
+  }
+  {
+    mesh::FaultPlan plan(cfg);
+    mesh::Grid<std::int64_t> g(shape);
+    EXPECT_EQ(mesh::route_partial(g, std::vector<std::int64_t>(shape.size(), -1),
+                                  0, nullptr, &plan),
+              0u);  // epoch 0
+    expect_exhausted(
+        [&] { mesh::route_partial(g, reverse64, 0, nullptr, &plan); });
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Per-tenant fault isolation (src/service/): arming a FaultPlan on ONE
 // tenant's stream degrades only that tenant — co-resident tenants sharing
