@@ -11,12 +11,13 @@
 // threaded through the code, visible at every call site where the paper
 // says "in parallel".
 //
-// CostModel holds the charged constants for each primitive on a p-processor
-// (sub)mesh. The defaults charge the optimal O(sqrt p) mesh-sort bound
-// (Schnorr–Shamir style, 3*sqrt(p)); setting `physical_sort` charges the
-// shearsort bound sqrt(p)*(log2 p + 1) instead — the cycle engine actually
-// runs shearsort, and experiment E7 uses this switch to show the claimed
-// asymptotics degrade by exactly a log factor under a suboptimal sort.
+// CostModel charges each primitive on a p-processor (sub)mesh from the
+// fixed constants below. By default it charges the optimal O(sqrt p)
+// mesh-sort bound (Schnorr–Shamir style, 3*sqrt(p)); `physical_sort`
+// charges the shearsort bound sqrt(p)*(log2 p + 1) instead — the cycle
+// engine actually runs shearsort, and experiment E7 uses this switch to
+// show the claimed asymptotics degrade by exactly a log factor under a
+// suboptimal sort.
 #pragma once
 
 #include <algorithm>
@@ -71,7 +72,22 @@ class ParAccumulator {
   Cost max_;
 };
 
-/// Charged step constants for the counting engine's primitives.
+// Charged step constants for the counting engine's primitives, each a
+// multiple of sqrt(p) on a p-processor (sub)mesh. Routing has no constant
+// of its own: sort-based routing is charged the sort bound plus one
+// traversal (CostModel::route_steps).
+
+/// Optimal mesh sort.
+inline constexpr double kSortC = 3.0;
+/// Snake prefix scan (row scan + column scan + fix).
+inline constexpr double kScanC = 2.0;
+/// Broadcast from one processor (row then columns).
+inline constexpr double kBcastC = 2.0;
+/// Semigroup reduction to one processor.
+inline constexpr double kReduceC = 2.0;
+
+/// The counting engine's charges: CostModel turns the constants above into
+/// charged Cost values.
 ///
 /// Every primitive takes an optional `times` — "this primitive runs `times`
 /// times back to back" — so call sites that sweep a level k times charge
@@ -84,11 +100,6 @@ class ParAccumulator {
 /// themselves, never their building blocks, so attributed steps sum exactly
 /// to the charged total. A null sink costs one pointer test.
 struct CostModel {
-  double sort_c = 3.0;    ///< optimal mesh sort: sort_c * sqrt(p)
-  double scan_c = 2.0;    ///< snake prefix scan (row scan + column scan + fix)
-  double route_c = 3.0;   ///< permutation routing (sort-based)
-  double bcast_c = 2.0;   ///< broadcast from one processor (row then columns)
-  double reduce_c = 2.0;  ///< semigroup reduction to one processor
   bool physical_sort = false;  ///< charge shearsort O(sqrt(p) log p) instead
   trace::TraceRecorder* trace = nullptr;  ///< optional attribution sink (not owned)
   FaultPlan* fault = nullptr;  ///< optional fault oracle (not owned); null or
@@ -106,10 +117,10 @@ struct CostModel {
     return charge(trace::Primitive::kRoute, p, times, route_steps(p));
   }
   Cost broadcast(double p, double times = 1.0) const {
-    return charge(trace::Primitive::kBroadcast, p, times, bcast_c * sqrt_p(p));
+    return charge(trace::Primitive::kBroadcast, p, times, kBcastC * sqrt_p(p));
   }
   Cost reduce(double p, double times = 1.0) const {
-    return charge(trace::Primitive::kReduce, p, times, reduce_c * sqrt_p(p));
+    return charge(trace::Primitive::kReduce, p, times, kReduceC * sqrt_p(p));
   }
 
   /// Random access read: sort requests by address, rank, fetch via one
@@ -154,9 +165,9 @@ struct CostModel {
  private:
   double sort_steps(double p) const {
     if (physical_sort) return sqrt_p(p) * (std::log2(std::max(2.0, p)) + 1.0);
-    return sort_c * sqrt_p(p);
+    return kSortC * sqrt_p(p);
   }
-  double scan_steps(double p) const { return scan_c * sqrt_p(p); }
+  double scan_steps(double p) const { return kScanC * sqrt_p(p); }
   // Sort-based routing inherits the sort bound plus one traversal.
   double route_steps(double p) const { return sort_steps(p) + sqrt_p(p); }
 

@@ -1,11 +1,12 @@
 // Composite operations on the cycle engine, built only from the grid's
-// step-level primitives: partial greedy routing, segmented snake
-// broadcast, and the centerpiece — the full sort-based concurrent-read
-// RANDOM ACCESS READ, the workhorse every multisearch algorithm charges
-// via CostModel::rar. Running it physically validates that the charged
-// operation is implementable on the machine model and measures its real
-// step count (a sqrt(p) log p object here, because the cycle engine's sort
-// is shearsort; the counting engine charges the optimal bound instead).
+// step-level primitives: partial greedy routing (route_xy, mesh/grid.hpp,
+// the engine's one router), segmented snake broadcast, and the
+// centerpiece — the full sort-based concurrent-read RANDOM ACCESS READ,
+// the workhorse every multisearch algorithm charges via CostModel::rar.
+// Running it physically validates that the charged operation is
+// implementable on the machine model and measures its real step count (a
+// sqrt(p) log p object here, because the cycle engine's sort is shearsort;
+// the counting engine charges the optimal bound instead).
 //
 // The RAR construction (standard, e.g. Miller & Stout):
 //   1. sort the requests by target address into snake order   (shearsort)
@@ -30,13 +31,15 @@ namespace meshsearch::mesh {
 // MEASURED step count under the same primitive label the counting engine
 // charges (kRoute / kBroadcast / kRar / kRaw), so one workload run through
 // both engines yields directly comparable traces. The optional FaultPlan
-// (mesh/fault.hpp) injects stalls/drops into the routing sweeps and retried
-// steps into the lockstep sub-operations: data outcomes are unchanged, only
-// the measured step counts grow; null or disarmed changes nothing.
+// (mesh/fault.hpp) goes to route_xy, which injects stalls, drops and
+// corruption into every routing, and adds retried steps to the lockstep
+// sub-operations: data outcomes are unchanged, only the measured step
+// counts grow; null or disarmed changes nothing.
 
-/// Partial permutation routing on a value grid: packet i (row-major) goes
-/// to row-major dest_rm[i]; entries < 0 carry no packet. Destinations must
-/// be distinct. Cells that receive no packet keep `fill`. Returns steps.
+/// Partial permutation routing on a value grid through route_xy: packet i
+/// (row-major) goes to row-major dest_rm[i]; entries < 0 carry no packet.
+/// Destinations must be distinct. Cells that receive no packet get `fill`.
+/// Returns (and records) the measured steps.
 std::size_t route_partial(Grid<std::int64_t>& g,
                           const std::vector<std::int64_t>& dest_rm,
                           std::int64_t fill,

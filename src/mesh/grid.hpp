@@ -11,7 +11,13 @@
 //   * shearsort into snake order                   — (2⌈log2 s⌉ + 3) * s
 //   * snake prefix scan                            — ~3s
 //   * broadcast from the top-left processor        — 2(s-1)
-//   * greedy XY (dimension-order) permutation routing — measured
+//   * greedy XY (dimension-order) routing          — measured
+//
+// Routing has one implementation, the free function route_xy below: it
+// moves a row-major payload to (partial) row-major destinations.
+// Grid::route_permutation routes the grid's own cells through it, and the
+// composite operations of mesh/cycle_ops.hpp (route_partial, the physical
+// random access read and write) call it directly.
 //
 // The counting engine (mesh/ops.hpp) charges closed-form costs for the same
 // operations; the cross-engine tests check that both compute identical data
@@ -19,9 +25,11 @@
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "mesh/fault.hpp"
@@ -53,16 +61,17 @@ class Grid {
   /// Attach an optional trace sink: composite operations (shearsort,
   /// snake_scan, broadcast, route_permutation) record their MEASURED step
   /// counts under the same primitive labels the counting engine charges,
-  /// so cross-engine divergence is a queryable metric. Not owned.
+  /// so cross-engine divergence is a queryable metric. route_xy records
+  /// nothing: its other callers (mesh/cycle_ops.hpp) take their own trace
+  /// argument. Not owned.
   void set_trace(trace::TraceRecorder* t) { trace_ = t; }
   trace::TraceRecorder* trace() const { return trace_; }
 
-  /// Attach an optional fault oracle (mesh/fault.hpp): routing injects
-  /// per-step processor stalls, link drops, and in-transit payload
-  /// corruption (caught by per-payload checksums, mesh/integrity.hpp);
-  /// the lockstep primitives (shearsort, snake_scan, broadcast) add
-  /// detected-and-retried steps. Null or disarmed changes nothing.
-  /// Not owned.
+  /// Attach an optional fault oracle (mesh/fault.hpp): route_permutation
+  /// hands it to route_xy, which injects per-step processor stalls, link
+  /// drops and in-transit payload corruption; the lockstep primitives
+  /// (shearsort, snake_scan, broadcast) add detected-and-retried steps.
+  /// Null or disarmed changes nothing. Not owned.
   void set_fault(FaultPlan* f) { fault_ = f; }
   FaultPlan* fault() const { return fault_; }
 
@@ -227,10 +236,9 @@ class Grid {
   // Routing
   // -------------------------------------------------------------------------
 
-  /// Greedy XY permutation routing: packet i (at row-major position i)
-  /// must reach row-major position dest_rm[i]; dest_rm is a permutation.
-  /// One packet per link per step, FIFO queues, X (row) dimension first.
-  /// Returns the number of synchronous steps until delivery completes.
+  /// Permutation routing of the grid's cells through route_xy: the value
+  /// at row-major position i moves to row-major position dest_rm[i];
+  /// dest_rm is a permutation. Returns (and records) the measured steps.
   std::size_t route_permutation(const std::vector<std::uint32_t>& dest_rm);
 
  private:
@@ -254,31 +262,61 @@ class Grid {
   FaultPlan* fault_ = nullptr;
 };
 
+/// Greedy XY (dimension-order) routing, the cycle engine's one router:
+/// payload_rm[i] travels from row-major cell i to row-major dest_rm[i]
+/// (< 0 = no packet); destinations must be distinct. out_rm[d] receives the
+/// payload, every cell that receives nothing holds `fill`. One packet per
+/// link per step, FIFO queues, X (row) dimension first. Returns the number
+/// of synchronous steps until delivery completes; records nothing.
+///
+/// `fault` (null or disarmed = none) draws one routing epoch per call and
+/// then injects per-step processor stalls, link drops and in-transit
+/// payload corruption (caught by per-payload checksums, mesh/integrity.hpp):
+/// a stalled cell emits nothing for one step; a dropped or corrupted word
+/// stays at its queue head and retransmits next step, blocking that queue
+/// for the rest of the step. Data is never changed, only steps are added;
+/// the convergence guard is scaled while armed and throws
+/// FaultExhaustedError (site "route_xy", the plan's seed, the epoch as
+/// occurrence) when congestion plus faults exceed it.
 template <typename T>
-std::size_t Grid<T>::route_permutation(const std::vector<std::uint32_t>& dest_rm) {
-  const std::uint32_t s = side();
-  const std::size_t p = shape_.size();
-  MS_CHECK(dest_rm.size() == p);
+std::size_t route_xy(MeshShape shape, const std::vector<T>& payload_rm,
+                     const std::vector<std::int64_t>& dest_rm,
+                     std::vector<T>& out_rm, T fill, FaultPlan* fault) {
+  const std::uint32_t s = shape.side();
+  const std::size_t p = shape.size();
+  MS_CHECK(payload_rm.size() == p && dest_rm.size() == p);
+  out_rm.assign(p, fill);
 
   struct Packet {
-    T value{};
-    std::uint32_t dr = 0, dc = 0;  // destination coordinates
-    std::uint64_t sum = 0;         // payload checksum (computed while armed)
+    T value;
+    std::uint32_t dr, dc;   // destination coordinates
+    std::uint64_t sum = 0;  // payload checksum (computed while armed)
+  };
+  // Per-cell FIFO queues: packets still travelling horizontally, and
+  // packets travelling vertically.
+  struct Cell {
+    std::deque<Packet> horiz, vert;
   };
   // Checksums need byte access to the payload; every T the engines route is
   // trivially copyable, but keep non-copyable instantiations compiling
   // (without transport integrity — corruption needs bit access too).
   constexpr bool kChecksummed = std::is_trivially_copyable_v<T>;
-  // Per-cell queues; queue[0] = packets still travelling horizontally,
-  // queue[1] = packets travelling vertically.
-  struct Cell {
-    std::deque<Packet> horiz, vert;
-  };
+  const bool faulty = fault != nullptr && fault->armed();
   std::vector<Cell> state(p);
-  const bool faulty = fault_ != nullptr && fault_->armed();
   std::size_t undelivered = 0;
+#ifndef NDEBUG
+  std::vector<std::uint8_t> seen(p, 0);
+#endif
   for (std::size_t i = 0; i < p; ++i) {
-    Packet pk{cells_[i], dest_rm[i] / s, dest_rm[i] % s, 0};
+    if (dest_rm[i] < 0) continue;
+    const auto d = static_cast<std::size_t>(dest_rm[i]);
+    MS_CHECK(d < p);
+#ifndef NDEBUG
+    MS_CHECK_MSG(!seen[d], "route_xy: destination collision");
+    seen[d] = 1;
+#endif
+    Packet pk{payload_rm[i], static_cast<std::uint32_t>(d / s),
+              static_cast<std::uint32_t>(d % s), 0};
     if constexpr (kChecksummed) {
       // Checksum at injection; every delivery below verifies it, so any
       // in-transit flip is detected-and-retransmitted, never silent.
@@ -287,7 +325,7 @@ std::size_t Grid<T>::route_permutation(const std::vector<std::uint32_t>& dest_rm
     const std::uint32_t r = static_cast<std::uint32_t>(i / s);
     const std::uint32_t c = static_cast<std::uint32_t>(i % s);
     if (r == pk.dr && c == pk.dc) {
-      cells_[i] = pk.value;  // already home
+      out_rm[d] = pk.value;  // already home
     } else {
       ++undelivered;
       if (c != pk.dc)
@@ -298,14 +336,24 @@ std::size_t Grid<T>::route_permutation(const std::vector<std::uint32_t>& dest_rm
   }
 
   std::size_t steps = 0;
-  // Each route_permutation call is its own fault epoch, so two calls at the
-  // same step index draw independent stall/drop decisions.
-  const std::uint64_t epoch = faulty ? fault_->next_route_epoch() : 0;
+  // Each call is its own fault epoch, so two routings at the same step
+  // index draw independent stall/drop/corrupt decisions.
+  const std::uint64_t epoch = faulty ? fault->next_route_epoch() : 0;
   const std::size_t base_cap = 64 * static_cast<std::size_t>(s) + 64;
   const std::size_t cap =
       faulty ? static_cast<std::size_t>(static_cast<double>(base_cap) *
                                         kFaultRouteCapFactor)
              : base_cap;
+  const auto error_context = [&](const char* site) {
+    ErrorContext ctx;
+    ctx.engine = "cycle";
+    ctx.phase = "route";
+    ctx.site = site;
+    ctx.seed = fault->config().seed;
+    ctx.occurrence = epoch;
+    ctx.has_seed = true;
+    return ctx;
+  };
   // Per-queue "a drop blocked this queue at step N" stamps. A dropped packet
   // is detected by the receiver's per-step validation and stays at the head
   // of its FIFO for retransmission; any later same-step departure from that
@@ -320,20 +368,12 @@ std::size_t Grid<T>::route_permutation(const std::vector<std::uint32_t>& dest_rm
   while (undelivered > 0) {
     ++steps;
     if (!faulty) {
-      MS_CHECK_MSG(steps <= cap,
-                   "routing failed to converge (bug in route_permutation)");
+      MS_CHECK_MSG(steps <= cap, "greedy XY routing failed to converge");
     } else if (steps > cap) {
-      ErrorContext ctx;
-      ctx.engine = "cycle";
-      ctx.phase = "route";
-      ctx.site = "route_permutation";
-      ctx.seed = fault_->config().seed;
-      ctx.occurrence = epoch;
-      ctx.has_seed = true;
       throw FaultExhaustedError(
           "routing exceeded its scaled convergence guard under injected "
           "faults",
-          std::move(ctx));
+          error_context("route_xy"));
     }
     struct Move {
       std::size_t from_cell;
@@ -355,23 +395,20 @@ std::size_t Grid<T>::route_permutation(const std::vector<std::uint32_t>& dest_rm
             const std::size_t cell = static_cast<std::size_t>(r) * s + c;
             // A stalled processor emits nothing this step; its queued
             // packets simply wait. (Pure hash draw — safe from any thread.)
-            if (faulty && fault_->stall(epoch, steps, cell)) continue;
-            // One horizontal departure per step (east or west link — a
-            // packet uses only one, and all packets in this queue share the
-            // row direction decision individually; we allow one east + one
-            // west).
+            if (faulty && fault->stall(epoch, steps, cell)) continue;
+            // One horizontal departure per step per direction (east and
+            // west links are separate).
             auto& hq = state[cell].horiz;
-            int sent_east = 0, sent_west = 0;
+            int east = 0, west = 0;
             for (std::size_t k = 0; k < hq.size();) {
-              const Packet& pk = hq[k];
-              const bool east = pk.dc > c;
-              if (east && sent_east == 0) {
-                moves.push_back({cell, true, cell + 1, pk.dc != c + 1});
-                ++sent_east;
+              const bool go_east = hq[k].dc > c;
+              if (go_east && east == 0) {
+                moves.push_back({cell, true, cell + 1, hq[k].dc != c + 1});
+                ++east;
                 ++k;
-              } else if (!east && sent_west == 0) {
-                moves.push_back({cell, true, cell - 1, pk.dc != c - 1});
-                ++sent_west;
+              } else if (!go_east && west == 0) {
+                moves.push_back({cell, true, cell - 1, hq[k].dc != c - 1});
+                ++west;
                 ++k;
               } else {
                 break;  // FIFO: head blocked means the rest of the queue waits
@@ -379,17 +416,16 @@ std::size_t Grid<T>::route_permutation(const std::vector<std::uint32_t>& dest_rm
             }
             // One vertical departure per step per direction.
             auto& vq = state[cell].vert;
-            int sent_south = 0, sent_north = 0;
+            int south = 0, north = 0;
             for (std::size_t k = 0; k < vq.size();) {
-              const Packet& pk = vq[k];
-              const bool south = pk.dr > r;
-              if (south && sent_south == 0) {
+              const bool go_south = vq[k].dr > r;
+              if (go_south && south == 0) {
                 moves.push_back({cell, false, cell + s, false});
-                ++sent_south;
+                ++south;
                 ++k;
-              } else if (!south && sent_north == 0) {
+              } else if (!go_south && north == 0) {
                 moves.push_back({cell, false, cell - s, false});
-                ++sent_north;
+                ++north;
                 ++k;
               } else {
                 break;
@@ -399,80 +435,59 @@ std::size_t Grid<T>::route_permutation(const std::vector<std::uint32_t>& dest_rm
         },
         /*grain=*/16);
     std::vector<Move> moves;
-    moves.reserve(p);
     for (const auto& rm : row_moves)
       moves.insert(moves.end(), rm.begin(), rm.end());
     // Apply moves: pop in order recorded (heads first), push to targets.
     for (const Move& mv : moves) {
+      auto& q = mv.from_horiz ? state[mv.from_cell].horiz
+                              : state[mv.from_cell].vert;
       if (faulty) {
+        const auto from = static_cast<std::uint64_t>(mv.from_cell);
+        const auto to = static_cast<std::uint64_t>(mv.to_cell);
         auto& blocked = mv.from_horiz ? blocked_h : blocked_v;
         if (blocked[mv.from_cell] == steps) continue;  // behind a drop
-        if (fault_->drop(epoch, steps, static_cast<std::uint64_t>(mv.from_cell),
-                         static_cast<std::uint64_t>(mv.to_cell))) {
+        if (fault->drop(epoch, steps, from, to)) {
           blocked[mv.from_cell] = steps;  // head retransmits next step
           continue;
         }
         if constexpr (kChecksummed) {
-          if (fault_->corrupt(epoch, steps,
-                              static_cast<std::uint64_t>(mv.from_cell),
-                              static_cast<std::uint64_t>(mv.to_cell))) {
+          if (fault->corrupt(epoch, steps, from, to)) {
             // The link flips one payload bit of the transmitted copy. The
             // receiver's checksum verification catches the mismatch, the
             // corrupted copy is discarded, and the intact head packet
             // retransmits next step — corruption behaves like a detected
             // drop, never a silent value change.
-            auto& q = mv.from_horiz ? state[mv.from_cell].horiz
-                                    : state[mv.from_cell].vert;
             Packet sent = q.front();
             integrity::flip_payload_bit(
-                sent.value,
-                fault_->corrupt_bit(epoch, steps,
-                                    static_cast<std::uint64_t>(mv.from_cell),
-                                    static_cast<std::uint64_t>(mv.to_cell)));
+                sent.value, fault->corrupt_bit(epoch, steps, from, to));
             if (integrity::payload_checksum(sent.value) == sent.sum) {
               // Unreachable by construction (a single-bit flip always
               // changes the position-mixed fold) — if it ever fires, the
               // integrity layer itself is broken.
-              ErrorContext ctx;
-              ctx.engine = "cycle";
-              ctx.phase = "route";
-              ctx.site = "route_permutation.corrupt";
-              ctx.seed = fault_->config().seed;
-              ctx.occurrence = epoch;
-              ctx.has_seed = true;
               throw IntegrityError(
                   "corrupted payload passed checksum verification",
-                  std::move(ctx));
+                  error_context("route_xy.corrupt"));
             }
-            fault_->count_corrupt_detected();
-            fault_->count_corrupt_recovered();
+            fault->count_corrupt_detected();
+            fault->count_corrupt_recovered();
             blocked[mv.from_cell] = steps;
             continue;
           }
         }
       }
-      auto& q = mv.from_horiz ? state[mv.from_cell].horiz : state[mv.from_cell].vert;
       Packet pk = q.front();
       q.pop_front();
       if constexpr (kChecksummed) {
         // Receiver-side validation of every (non-corrupted) delivery: the
         // payload must still match its injection-time checksum.
-        if (faulty && integrity::payload_checksum(pk.value) != pk.sum) {
-          ErrorContext ctx;
-          ctx.engine = "cycle";
-          ctx.phase = "route";
-          ctx.site = "route_permutation.verify";
-          ctx.seed = fault_->config().seed;
-          ctx.occurrence = epoch;
-          ctx.has_seed = true;
+        if (faulty && integrity::payload_checksum(pk.value) != pk.sum)
           throw IntegrityError("routed payload failed checksum verification",
-                               std::move(ctx));
-        }
+                               error_context("route_xy.verify"));
       }
-      const std::uint32_t tr = static_cast<std::uint32_t>(mv.to_cell / s);
-      const std::uint32_t tc = static_cast<std::uint32_t>(mv.to_cell % s);
+      const auto tr = static_cast<std::uint32_t>(mv.to_cell / s);
+      const auto tc = static_cast<std::uint32_t>(mv.to_cell % s);
       if (tr == pk.dr && tc == pk.dc) {
-        cells_[mv.to_cell] = pk.value;
+        out_rm[mv.to_cell] = pk.value;
         --undelivered;
       } else if (mv.to_horiz) {
         state[mv.to_cell].horiz.push_back(pk);
@@ -481,6 +496,15 @@ std::size_t Grid<T>::route_permutation(const std::vector<std::uint32_t>& dest_rm
       }
     }
   }
+  return steps;
+}
+
+template <typename T>
+std::size_t Grid<T>::route_permutation(const std::vector<std::uint32_t>& dest_rm) {
+  const std::vector<std::int64_t> dest(dest_rm.begin(), dest_rm.end());
+  std::vector<T> routed;
+  const std::size_t steps = route_xy(shape_, cells_, dest, routed, T{}, fault_);
+  cells_ = std::move(routed);
   record(trace::Primitive::kRoute, steps);
   return steps;
 }

@@ -98,7 +98,7 @@ void ServiceScheduler::resolve(TenantSession& t, std::uint32_t idx,
   MS_CHECK(t.state_[idx] == QueryState::kPending);
   t.state_[idx] = state;
   t.resolve_steps_[idx] = clock_;
-  TenantReport& acct = t.acct_;
+  TenantAccount& acct = t.acct_;
   switch (state) {
     case QueryState::kDone: ++acct.completed; break;
     case QueryState::kFailed: ++acct.failed_queries; break;

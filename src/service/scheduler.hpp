@@ -45,8 +45,8 @@
 // (kFailed tickets, TenantReport::failed_queries) — never silently wrong.
 //
 // Counts live in one place each: each TenantSession's accounting record
-// (a TenantReport, whose outstanding/updates_applied are derived on
-// report()), breaker counters and the scheduler's round counters.
+// (a TenantAccount; report() adds the derived submitted/outstanding/
+// updates_applied), breaker counters and the scheduler's round counters.
 // export_metrics() publishes them as gauges; only span wall times go to the recorder's stats registry as they
 // happen — each batch attempt runs in a "service.batch N" span, whose
 // wall.phase.service.batch histogram is the one per-batch wall timer.

@@ -131,11 +131,7 @@ std::size_t TenantSession::slice_cap() const {
 }
 
 TenantReport TenantSession::report() const {
-  TenantReport rep = acct_;
-  rep.submitted = submitted();
-  rep.outstanding = outstanding();
-  rep.updates_applied = updates_applied();
-  return rep;
+  return TenantReport{acct_, submitted(), outstanding(), updates_applied()};
 }
 
 }  // namespace meshsearch::service

@@ -121,15 +121,13 @@ using CompletionFn = std::function<void(const CompletionEvent&)>;
 /// been refreshed for.
 using UpdateFn = std::function<msearch::RefreshRequest()>;
 
-/// Snapshot of one tenant's service-level accounting. A TenantSession keeps
-/// its live accounting in one of these; `submitted`, `outstanding` and
-/// `updates_applied` are derived, filled in only by report().
-struct TenantReport {
+/// One tenant's stored service-level accounting: the name, counters,
+/// charges and SLO histograms the scheduler updates as work resolves. A
+/// TenantSession keeps its live accounting in one of these.
+struct TenantAccount {
   std::string tenant;
-  std::size_t submitted = 0;        ///< admitted queries
   std::size_t completed = 0;        ///< answered (kDone)
   std::size_t failed_queries = 0;   ///< reported-failed (kFailed)
-  std::size_t outstanding = 0;      ///< still pending at snapshot time
   std::size_t rejected_submissions = 0;  ///< submit() calls refused
   std::size_t rejected_queries = 0;      ///< queries in refused calls (all)
   /// Queries in calls refused by SloPolicy::max_queue backpressure — a
@@ -148,7 +146,6 @@ struct TenantReport {
   std::size_t degraded_batches = 0;
   std::size_t replans = 0;          ///< re-plan generations executed
   std::size_t updates_submitted = 0;
-  std::size_t updates_applied = 0;
   std::size_t incremental_refreshes = 0;  ///< dirty-band re-distributions
   std::size_t full_refreshes = 0;         ///< fell back to full re-setup
   std::size_t degraded_refreshes = 0;     ///< retried fault-free after budget
@@ -160,6 +157,14 @@ struct TenantReport {
   util::LogHistogram latency_steps;     ///< admission -> completion
 
   mesh::Cost charged() const { return inject + run + refresh; }
+};
+
+/// Snapshot of one tenant's accounting (TenantSession::report()): the
+/// stored counts plus the three derived from the session's state.
+struct TenantReport : TenantAccount {
+  std::size_t submitted = 0;        ///< admitted queries
+  std::size_t outstanding = 0;      ///< still pending at snapshot time
+  std::size_t updates_applied = 0;  ///< incremental + full refreshes
 };
 
 class TenantSession {
@@ -272,7 +277,7 @@ class TenantSession {
   std::size_t deficit_ = 0;
   /// The tenant's name, counters, charges and SLO histograms, updated by
   /// the scheduler as work resolves; report() copies it.
-  TenantReport acct_;
+  TenantAccount acct_;
 };
 
 }  // namespace meshsearch::service

@@ -407,31 +407,41 @@ TEST(ServiceFairness, DrrBoundsLightTenantQueueWaitUnderTenToOneSkew) {
 }
 
 TEST(ServiceFairness, WeightedTenantsGetExactProportionalService) {
+  // The DRR quantum is the tenant's engine capacity, so a tenant served by
+  // a 4x larger mesh over the same structure gets exactly 4x the service
+  // of one on the base mesh: "weight" is engine capacity.
   const Alg3Fixture fx;
-  const std::size_t cap = fx.shape.size();
   const mesh::CostModel m;
-  auto engine = make_partitioned_engine(EngineKind::kAlg3AlphaBeta,
-                                        fx.tree.graph(), fx.s1, fx.s2,
-                                        fx.tree.euler_scan(), m, fx.shape);
+  const mesh::MeshShape big(2 * fx.shape.side());
+  auto gold_engine = make_partitioned_engine(EngineKind::kAlg3AlphaBeta,
+                                             fx.tree.graph(), fx.s1, fx.s2,
+                                             fx.tree.euler_scan(), m, big);
+  auto coach_engine = make_partitioned_engine(EngineKind::kAlg3AlphaBeta,
+                                              fx.tree.graph(), fx.s1, fx.s2,
+                                              fx.tree.euler_scan(), m,
+                                              fx.shape);
+  const std::size_t gold_cap = gold_engine->capacity();
+  const std::size_t coach_cap = coach_engine->capacity();
+  ASSERT_EQ(gold_cap, 4 * coach_cap);
   ServiceScheduler svc;
   TenantQuota quota;
-  quota.max_outstanding = 16 * cap;
-  TenantSession& g = svc.add_tenant("gold", *engine, quota);
-  TenantSession& c = svc.add_tenant("coach", *engine, quota);
-  g.submit(fx.stream(4 * cap, 41));
-  c.submit(fx.stream(4 * cap, 42));
+  quota.max_outstanding = 16 * gold_cap;
+  TenantSession& g = svc.add_tenant("gold", *gold_engine, quota);
+  TenantSession& c = svc.add_tenant("coach", *coach_engine, quota);
+  g.submit(fx.stream(4 * gold_cap, 41));
+  c.submit(fx.stream(4 * coach_cap, 42));
 
-  // With both backlogs deep, k rounds serve exactly k * capacity queries
-  // each (the DRR quantum is the engine's capacity): equal shares, not
-  // approximately but exactly.
+  // With both backlogs deep, k rounds serve exactly k * (own capacity)
+  // queries each: shares proportional to capacity, not approximately but
+  // exactly.
   for (std::size_t k = 1; k <= 3; ++k) {
     svc.pump();
-    EXPECT_EQ(g.report().completed, k * cap);
-    EXPECT_EQ(c.report().completed, k * cap);
+    EXPECT_EQ(g.report().completed, k * gold_cap);
+    EXPECT_EQ(c.report().completed, k * coach_cap);
   }
   svc.run_until_idle();
-  EXPECT_EQ(g.report().completed, 4 * cap);
-  EXPECT_EQ(c.report().completed, 4 * cap);
+  EXPECT_EQ(g.report().completed, 4 * gold_cap);
+  EXPECT_EQ(c.report().completed, 4 * coach_cap);
 }
 
 // ---------------------------------------------------------------------------
