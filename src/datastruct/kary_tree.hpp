@@ -75,13 +75,18 @@ class KaryTree {
   /// structure untouched.
   ///
   /// While the merged key set still fits the current leaf level the tree
-  /// topology (vertices, edges, levels) is unchanged and only record
-  /// payloads are rewritten — the returned delta lists exactly the dirty
-  /// vertices, so a warm engine refreshes incrementally. Appending/deleting
-  /// at the key-space tail keeps the dirty set proportional to the batch
-  /// (leaf payloads shift only at and after the first changed rank);
-  /// interior inserts shift everything after them. When the merged set
-  /// outgrows the leaf level the whole tree is rebuilt in place (same
+  /// topology (vertices, edges, levels) is unchanged and only the payloads
+  /// a changed leaf rank can reach are recomputed: that leaf, its
+  /// ancestors' separators, and key[7] of the right siblings of the leaf
+  /// and of each ancestor (key[7] sums left-sibling subtree weights only).
+  /// A weight-only batch of m keys touches at most m·(1 + (k−1)·height)
+  /// records and no key is copied. An insert or delete shifts every rank
+  /// after it, so key churn touches the leaves from the first changed rank
+  /// to the last, their ancestors and those nodes' right siblings; tail
+  /// appends and deletes stay proportional to the batch. The returned
+  /// delta lists exactly the records whose payload changed, ascending, so
+  /// a warm engine refreshes incrementally. When the merged set outgrows
+  /// the leaf level the whole tree is rebuilt in place (same
   /// DistributedGraph address, one taller level) and the delta reports
   /// topology_changed. Either way the graph generation is bumped, so stale
   /// warm engines are fenced until they refresh.
@@ -139,9 +144,22 @@ class KaryTree {
   /// (Re)build the complete tree from key_set_: size the graph (preserving
   /// the generation stamp across the assignment), fill payloads, add edges.
   void build();
-  /// Payload pass only — levels, separators, leaf keys/weights, sibling
-  /// weight prefixes. Pure function of key_set_ over the fixed topology.
+  /// Payload pass over every vertex — levels, separators, leaf keys and
+  /// weights, sibling weight prefixes. Pure function of key_set_ over the
+  /// fixed topology.
   void fill_payloads();
+
+  /// A node (by index within its level) whose subtree a batch changed: the
+  /// subtree's summed weight delta, and whether a leaf key in it moved.
+  struct SubtreeChange {
+    std::size_t index = 0;
+    std::int64_t weight_delta = 0;
+    bool key_changed = false;
+  };
+  /// Bring the payloads that depend on the changed leaf positions (`leaves`,
+  /// ascending) up to date with key_set_, and return the vertices whose
+  /// payload moved, ascending.
+  std::vector<Vid> rewrite_payloads(std::vector<SubtreeChange> leaves);
 
   DistributedGraph g_;
   Vid root_ = kNoVertex;
