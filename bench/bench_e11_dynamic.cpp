@@ -170,8 +170,9 @@ int main(int argc, char** argv) {
   const mesh::CostModel m;
 
   // K-ary payload update: weight updates in place of the LAST b keys. A
-  // weight change dirties its leaf and the rank prefixes after it, so the
-  // dirty suffix scales with b — sweeping the realized update fraction —
+  // weight change dirties its leaf and the right siblings of the leaf and
+  // of each ancestor (key[7] sums left-sibling subtree weights only), so
+  // the dirty set grows with b — sweeping the realized update fraction —
   // while the topology is untouched (the delta stays payload-only).
   auto kary_update = [&](KaryTree& tree, std::size_t b) {
     std::vector<ds::WeightedKey> ins;
