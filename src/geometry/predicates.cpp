@@ -43,22 +43,6 @@ bool point_in_triangle(const Point2& p, const Point2& a, const Point2& b,
          orient2d(v2, v0, p) >= 0;
 }
 
-bool point_in_triangle_strict(const Point2& p, const Point2& a,
-                              const Point2& b, const Point2& c) {
-  const int o = orient2d(a, b, c);
-  MS_DCHECK(o != 0);
-  const Point2 &v0 = a, &v1 = o > 0 ? b : c, &v2 = o > 0 ? c : b;
-  return orient2d(v0, v1, p) > 0 && orient2d(v1, v2, p) > 0 &&
-         orient2d(v2, v0, p) > 0;
-}
-
-bool segments_properly_cross(const Point2& a, const Point2& b,
-                             const Point2& c, const Point2& d) {
-  const int o1 = orient2d(a, b, c), o2 = orient2d(a, b, d);
-  const int o3 = orient2d(c, d, a), o4 = orient2d(c, d, b);
-  return o1 * o2 < 0 && o3 * o4 < 0;
-}
-
 bool triangles_overlap(const std::array<Point2, 3>& t1,
                        const std::array<Point2, 3>& t2) {
   // Separating axis test for convex polygons with exact orientations:

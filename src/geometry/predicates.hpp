@@ -44,14 +44,6 @@ std::int64_t dot3(const Point3& d, const Point3& p);
 bool point_in_triangle(const Point2& p, const Point2& a, const Point2& b,
                        const Point2& c);
 
-/// p strictly inside the open triangle (a,b,c).
-bool point_in_triangle_strict(const Point2& p, const Point2& a,
-                              const Point2& b, const Point2& c);
-
-/// Segments (a,b) and (c,d) cross at a single interior point of both.
-bool segments_properly_cross(const Point2& a, const Point2& b,
-                             const Point2& c, const Point2& d);
-
 /// Closed triangles (a1,b1,c1) and (a2,b2,c2) have intersecting interiors.
 /// Exact separating-axis test; both triangles must be non-degenerate.
 bool triangles_overlap(const std::array<Point2, 3>& t1,

@@ -81,7 +81,7 @@ Cost rank(const std::vector<T>& data, std::vector<std::uint32_t>& ranks,
 }
 
 // ---------------------------------------------------------------------------
-// Scans and reductions
+// Scans
 // ---------------------------------------------------------------------------
 
 /// Inclusive prefix scan along the snake with associative `op`.
@@ -90,19 +90,6 @@ Cost scan_inclusive(std::vector<T>& data, const CostModel& m, double p,
                     Op op = {}) {
   for (std::size_t i = 1; i < data.size(); ++i)
     data[i] = op(data[i - 1], data[i]);
-  return m.scan(p);
-}
-
-/// Exclusive prefix scan; `identity` fills position 0.
-template <typename T, typename Op = std::plus<T>>
-Cost scan_exclusive(std::vector<T>& data, const CostModel& m, double p,
-                    T identity = {}, Op op = {}) {
-  T acc = identity;
-  for (auto& x : data) {
-    const T next = op(acc, x);
-    x = acc;
-    acc = next;
-  }
   return m.scan(p);
 }
 
@@ -125,19 +112,6 @@ Cost scan_segmented(std::vector<T>& data, const std::vector<std::uint8_t>& seg_s
   }
   return m.scan(p);
 }
-
-/// Semigroup reduction of all elements to one value.
-template <typename T, typename Op = std::plus<T>>
-Cost reduce(const std::vector<T>& data, T& out, const CostModel& m, double p,
-            T identity = {}, Op op = {}) {
-  out = identity;
-  for (const auto& x : data) out = op(out, x);
-  return m.reduce(p);
-}
-
-/// Broadcast one value to all processors (data-wise the caller just uses
-/// the value; the mesh pays the step cost).
-inline Cost broadcast(const CostModel& m, double p) { return m.broadcast(p); }
 
 // ---------------------------------------------------------------------------
 // Routing
@@ -232,7 +206,7 @@ inline Cost random_access_count(std::span<const Addr> addr,
 }
 
 // ---------------------------------------------------------------------------
-// Compression / distribution
+// Compression
 // ---------------------------------------------------------------------------
 
 /// Move elements satisfying `pred` to a contiguous prefix, preserving order.
@@ -247,20 +221,6 @@ Cost compress(const std::vector<T>& data, Pred pred, std::vector<T>& out,
   out.reserve(k);
   for (const auto& x : data)
     if (pred(x)) out.push_back(x);
-  return m.compress(p);
-}
-
-/// Gather the elements at the given snake positions into a prefix
-/// (a compress keyed by position).
-template <typename T>
-Cost gather(const std::vector<T>& data, std::span<const std::uint32_t> pos,
-            std::vector<T>& out, const CostModel& m, double p) {
-  out.clear();
-  out.reserve(pos.size());
-  for (const auto i : pos) {
-    MS_DCHECK(i < data.size());
-    out.push_back(data[i]);
-  }
   return m.compress(p);
 }
 

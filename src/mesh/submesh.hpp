@@ -3,12 +3,9 @@
 // The paper's algorithms repeatedly partition the sqrt(n) x sqrt(n) mesh
 // into a g x g grid of square submeshes ("B_i-partitionings",
 // "delta-submeshes") and run independently inside each. A Partition captures
-// that decomposition and the index maps between
-//
-//   * global snake index on the full mesh, and
-//   * (block id, local snake index) within a block,
-//
-// where blocks are numbered row-major over the block grid. Moving an array
+// that decomposition and the index map from (block id, local snake index
+// within the block) to the global snake index on the full mesh, where
+// blocks are numbered row-major over the block grid. Moving an array
 // between the two layouts is a fixed permutation, realized on a mesh by one
 // routing.
 #pragma once
@@ -27,16 +24,11 @@ class Partition {
 
   MeshShape shape() const { return shape_; }
   MeshShape block_shape() const { return MeshShape(block_side_); }
-  std::uint32_t blocks_per_side() const { return g_; }
   std::size_t block_count() const { return static_cast<std::size_t>(g_) * g_; }
   std::size_t block_size() const {
     return static_cast<std::size_t>(block_side_) * block_side_;
   }
 
-  /// Block containing the processor at global snake index `idx`.
-  std::uint32_t block_of(std::size_t idx) const;
-  /// Local snake index within its block of the processor at `idx`.
-  std::size_t local_of(std::size_t idx) const;
   /// Global snake index of (block, local snake index).
   std::size_t global_of(std::uint32_t block, std::size_t local) const;
 
@@ -45,17 +37,6 @@ class Partition {
   std::uint32_t g_ = 1;
   std::uint32_t block_side_ = 0;
 };
-
-inline std::uint32_t Partition::block_of(std::size_t idx) const {
-  const Coord c = shape_.snake_to_coord(idx);
-  return (c.row / block_side_) * g_ + (c.col / block_side_);
-}
-
-inline std::size_t Partition::local_of(std::size_t idx) const {
-  const Coord c = shape_.snake_to_coord(idx);
-  return block_shape().coord_to_snake(
-      Coord{c.row % block_side_, c.col % block_side_});
-}
 
 inline std::size_t Partition::global_of(std::uint32_t block,
                                         std::size_t local) const {

@@ -183,7 +183,7 @@ template <SearchProgram P>
 HierarchicalRunResult hierarchical_multisearch(
     const HierarchicalDag& dag, const P& prog, std::vector<Query>& queries,
     const mesh::CostModel& m, mesh::MeshShape shape,
-    PlanKind kind = PlanKind::kPaper, bool charge_band_setup = true);
+    PlanKind kind = PlanKind::kPaper);
 
 // ---------------------------------------------------------------------------
 // implementation
@@ -290,7 +290,8 @@ std::size_t advance_through_levels(const DistributedGraph& g, const P& prog,
 /// size: the caller has already validated the graph and supplies the band
 /// plan (make_hierarchical_plan of the same DAG and shape). PreparedSearch
 /// calls this directly with the plan it derived once per structure
-/// generation.
+/// generation and `charge_band_setup` = false (see hierarchical_cost); the
+/// front door passes true.
 template <SearchProgram P>
 HierarchicalRunResult hierarchical_core(
     const HierarchicalDag& dag, const HierarchicalPlan& plan, const P& prog,
@@ -331,8 +332,7 @@ HierarchicalRunResult hierarchical_core(
 template <SearchProgram P>
 HierarchicalRunResult hierarchical_multisearch(
     const HierarchicalDag& dag, const P& prog, std::vector<Query>& queries,
-    const mesh::CostModel& m, mesh::MeshShape shape, PlanKind kind,
-    bool charge_band_setup) {
+    const mesh::CostModel& m, mesh::MeshShape shape, PlanKind kind) {
   // Front door: reject malformed input before any phase is charged.
   const char* engine =
       kind == PlanKind::kPaper ? "alg1-paper" : "alg1-geometric";
@@ -340,7 +340,7 @@ HierarchicalRunResult hierarchical_multisearch(
   validate_graph_fits(dag.graph(), shape, engine);
   return detail::hierarchical_core(
       dag, make_hierarchical_plan(dag, shape, kind), prog, queries, m, shape,
-      engine, charge_band_setup);
+      engine, /*charge_band_setup=*/true);
 }
 
 }  // namespace meshsearch::msearch

@@ -8,13 +8,6 @@
 
 namespace meshsearch::msearch {
 
-mesh::Cost distribute_initial(const DistributedGraph& g, std::size_t queries,
-                              const mesh::CostModel& m,
-                              mesh::MeshShape shape) {
-  TRACE_SPAN(m.trace, "setup: distribute data + queries");
-  return distribute_graph(g, m, shape) + inject_queries(queries, m, shape);
-}
-
 mesh::Cost distribute_graph(const DistributedGraph& g,
                             const mesh::CostModel& m, mesh::MeshShape shape) {
   MS_CHECK(g.vertex_count() <= shape.size());

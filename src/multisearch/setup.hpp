@@ -1,10 +1,10 @@
 // The paper's Appendix ("Details of the Initial Configuration of the Mesh")
 // and the §3 preprocessing step.
 //
-// * distribute_initial — place the graph and the queries in the canonical
-//   initial configuration: every processor stores one vertex, the
-//   processor addresses of its neighbours, and at most one query. From an
-//   arbitrary placement this is a constant number of sorts and routings.
+// * distribute_graph + inject_queries — place the graph and the queries in
+//   the canonical initial configuration: every processor stores one vertex,
+//   the processor addresses of its neighbours, and at most one query. From
+//   an arbitrary placement this is a constant number of sorts and routings.
 //
 // * compute_level_indices — §3: "the level indices can be easily computed
 //   in time O(sqrt n) by successively identifying the vertices in each
@@ -24,12 +24,6 @@
 #include "multisearch/graph.hpp"
 
 namespace meshsearch::msearch {
-
-/// Cost of establishing the Appendix's initial configuration for g plus
-/// `queries` search queries on `shape`. Equivalent to distribute_graph
-/// followed by inject_queries (same charges, same attribution).
-mesh::Cost distribute_initial(const DistributedGraph& g, std::size_t queries,
-                              const mesh::CostModel& m, mesh::MeshShape shape);
 
 /// Graph-only part of the initial configuration: sort vertices to their
 /// home processors and deliver neighbour addresses. A streaming engine

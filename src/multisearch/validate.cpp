@@ -145,20 +145,6 @@ void validate_points_distinct(const std::vector<geom::Point2>& pts,
                     site);
 }
 
-void validate_point_set_2d(const std::vector<geom::Point2>& pts,
-                           const char* site) {
-  if (pts.size() < 3)
-    invalid_input("point set needs at least 3 points", site);
-  validate_points_in_bounds(pts, site);
-  validate_points_distinct(pts, site);
-  // Not all collinear: scan for one witness triple off the line a-b.
-  const geom::Point2& a = pts[0];
-  const geom::Point2& b = pts[1];
-  for (std::size_t i = 2; i < pts.size(); ++i)
-    if (geom::orient2d(a, b, pts[i]) != 0) return;
-  invalid_input("all points collinear", site);
-}
-
 // ---------------------------------------------------------------------------
 // Paranoid mode
 // ---------------------------------------------------------------------------
@@ -169,14 +155,7 @@ std::atomic<int> g_paranoid_override{-1};
 
 bool paranoid_from_env() {
   const char* v = std::getenv("MESHSEARCH_PARANOID");
-  if (v == nullptr) {
-#ifdef MESHSEARCH_PARANOID_DEFAULT
-    return true;
-#else
-    return false;
-#endif
-  }
-  return v[0] != '\0' && std::strcmp(v, "0") != 0;
+  return v != nullptr && v[0] != '\0' && std::strcmp(v, "0") != 0;
 }
 
 }  // namespace
@@ -192,43 +171,16 @@ void set_paranoid_override(int mode) {
   g_paranoid_override.store(mode, std::memory_order_relaxed);
 }
 
-std::uint64_t outcome_checksum(const std::vector<Query>& queries) {
-  std::uint64_t acc = 0;
-  for (const auto& q : queries) {
-    // Hash a packed word array, not the QueryOutcome struct: its int32/int64
-    // mix leaves padding bytes whose values are indeterminate.
-    const std::uint64_t words[4] = {
-        static_cast<std::uint64_t>(static_cast<std::uint32_t>(q.steps)),
-        static_cast<std::uint64_t>(q.acc0),
-        static_cast<std::uint64_t>(q.acc1),
-        static_cast<std::uint64_t>(static_cast<std::uint32_t>(q.result))};
-    acc = mesh::integrity::fold_checksum(
-        acc, mesh::integrity::payload_checksum(words));
-  }
-  return acc;
-}
-
 namespace detail {
 
 void paranoid_mismatch(const char* engine, std::size_t index,
-                       std::uint64_t engine_sum, std::uint64_t oracle_sum) {
+                       const QueryOutcome& got, const QueryOutcome& want) {
   std::ostringstream os;
   os << "paranoid audit: query " << index
-     << " diverged from the sequential oracle (outcome checksum "
-     << engine_sum << " vs " << oracle_sum << ")";
-  ErrorContext ctx;
-  ctx.engine = engine;
-  ctx.phase = "paranoid-audit";
-  throw IntegrityError(os.str(), std::move(ctx));
-}
-
-void paranoid_checksum_mismatch_check(const char* engine,
-                                      std::uint64_t engine_sum,
-                                      std::uint64_t oracle_sum) {
-  if (engine_sum == oracle_sum) return;
-  std::ostringstream os;
-  os << "paranoid audit: end-to-end outcome checksum mismatch (" << engine_sum
-     << " vs oracle " << oracle_sum << ") with no per-query divergence";
+     << " diverged from the sequential oracle (engine steps " << got.steps
+     << " acc0 " << got.acc0 << " acc1 " << got.acc1 << " result "
+     << got.result << "; oracle steps " << want.steps << " acc0 " << want.acc0
+     << " acc1 " << want.acc1 << " result " << want.result << ")";
   ErrorContext ctx;
   ctx.engine = engine;
   ctx.phase = "paranoid-audit";

@@ -18,11 +18,10 @@
 // before any phase is charged. MS_CHECK remains the vocabulary for INTERNAL
 // invariants — after the front door, a tripped check is a library bug.
 //
-// This header also hosts paranoid mode (MESHSEARCH_PARANOID env var, or the
-// MESHSEARCH_PARANOID CMake option to default it on): every engine call
-// shadow-runs the sequential oracle on a copy of its input and audits the
-// end-to-end outcome checksum, throwing IntegrityError on any divergence —
-// the runtime analogue of the determinism test suite.
+// This header also hosts paranoid mode (MESHSEARCH_PARANOID env var): every
+// engine call shadow-runs the sequential oracle on a copy of its input and
+// compares every query's outcome, throwing IntegrityError on any divergence
+// — the runtime analogue of the determinism test suite.
 #pragma once
 
 #include <cstdint>
@@ -30,7 +29,6 @@
 #include <vector>
 
 #include "geometry/predicates.hpp"
-#include "mesh/integrity.hpp"
 #include "mesh/snake.hpp"
 #include "multisearch/graph.hpp"
 #include "multisearch/query.hpp"
@@ -100,42 +98,32 @@ void validate_points_in_bounds(const std::vector<geom::Point2>& pts,
 void validate_points_distinct(const std::vector<geom::Point2>& pts,
                               const char* site);
 
-/// At least three points, pairwise distinct, within bounds and not all
-/// collinear — the precondition for hull / Kirkpatrick / DK builders.
-void validate_point_set_2d(const std::vector<geom::Point2>& pts,
-                           const char* site);
-
 // ---------------------------------------------------------------------------
 // Paranoid mode
 // ---------------------------------------------------------------------------
 
 /// True when the MESHSEARCH_PARANOID environment variable is set to a
-/// non-empty, non-"0" value, or the library was compiled with
-/// -DMESHSEARCH_PARANOID=ON and the variable is unset. Cached after the
-/// first call (the env is not re-read).
+/// non-empty, non-"0" value. Cached after the first call (the env is not
+/// re-read).
 bool paranoid_enabled();
 
 /// Test hook: force paranoid mode on (1), off (0), or back to the
-/// environment/compile default (-1).
+/// environment (-1).
 void set_paranoid_override(int mode);
 
-/// Fold a query batch's outcomes into one order-independent audit value.
-std::uint64_t outcome_checksum(const std::vector<Query>& queries);
-
 namespace detail {
+/// Throw IntegrityError naming query `index` and its engine (`got`) and
+/// oracle (`want`) outcomes.
 [[noreturn]] void paranoid_mismatch(const char* engine, std::size_t index,
-                                    std::uint64_t engine_sum,
-                                    std::uint64_t oracle_sum);
-void paranoid_checksum_mismatch_check(const char* engine,
-                                      std::uint64_t engine_sum,
-                                      std::uint64_t oracle_sum);
+                                    const QueryOutcome& got,
+                                    const QueryOutcome& want);
 }  // namespace detail
 
 /// Shadow-run the sequential oracle on `shadow` (a copy of the engine's
-/// post-reset input) and compare every outcome — and the folded end-to-end
-/// checksum — against the engine's final `actual` state. Any divergence
-/// throws IntegrityError naming the first diverging query. The oracle runs
-/// fault-free and unmetered, so this audits the data path only.
+/// post-reset input) and compare every outcome against the engine's final
+/// `actual` state. Any divergence throws IntegrityError naming the first
+/// diverging query. The oracle runs fault-free and unmetered, so this
+/// audits the data path only.
 template <SearchProgram P>
 void paranoid_audit(const DistributedGraph& g, const P& prog,
                     std::vector<Query> shadow,
@@ -145,10 +133,7 @@ void paranoid_audit(const DistributedGraph& g, const P& prog,
   const auto got = outcomes(actual);
   for (std::size_t i = 0; i < got.size(); ++i)
     if (!(got[i] == want[i]))
-      detail::paranoid_mismatch(engine, i, outcome_checksum(actual),
-                                outcome_checksum(shadow));
-  detail::paranoid_checksum_mismatch_check(engine, outcome_checksum(actual),
-                                           outcome_checksum(shadow));
+      detail::paranoid_mismatch(engine, i, got[i], want[i]);
 }
 
 }  // namespace meshsearch::msearch

@@ -102,14 +102,6 @@ void TraceRecorder::metric(std::string_view name, double value) {
   stats_.set(name, value);
 }
 
-std::vector<Metric> TraceRecorder::metrics() const {
-  const auto snap = stats_.snapshot();
-  std::vector<Metric> out;
-  out.reserve(snap.gauges.size());
-  for (const auto& g : snap.gauges) out.push_back(Metric{g.name, g.value});
-  return out;
-}
-
 std::string span_histogram_name(std::string_view span_name) {
   // "stream.batch 17" -> "stream.batch": strip one trailing " <digits>".
   std::string_view base = span_name;

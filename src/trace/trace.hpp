@@ -93,18 +93,6 @@ struct Event {
   double sim_begin = 0;  ///< cumulative recorded steps before this event
 };
 
-/// A named scalar derived from a run rather than charged by it — throughput
-/// counters (queries/step), amortization fractions, batch counts. Metrics
-/// ride along in the metrics JSON and at the bottom of metrics_table, where
-/// a fraction next to the attribution histogram explains it (e.g. the
-/// stream scheduler's amortized-setup share).
-struct Metric {
-  std::string name;
-  double value = 0;
-
-  friend bool operator==(const Metric&, const Metric&) = default;
-};
-
 /// One phase span. sim_* are cumulative recorded simulated steps at
 /// begin/end (so sim_end - sim_begin is the span's simulated duration under
 /// sequential composition); wall_* are microseconds since the recorder was
@@ -150,15 +138,13 @@ class TraceRecorder {
   /// with closed == false and sim_end/wall_end_us frozen at "now".
   std::vector<Span> spans() const;
 
-  /// Set (or overwrite) a named scalar metric. Thread-safe; insertion order
-  /// is preserved so exported reports read in the order the run emitted.
-  /// Backed by a StatsRegistry gauge, so the lookup is hashed (a bench
-  /// setting 10k metrics per sweep stays linear, not quadratic) and all
-  /// exporters read metrics and wall histograms from one source.
+  /// Set (or overwrite) a named scalar metric: a value derived from a run
+  /// rather than charged by it (throughput, amortization fractions, batch
+  /// counts). Thread-safe. Backed by a StatsRegistry gauge, so the lookup
+  /// is hashed (a bench setting 10k metrics per sweep stays linear, not
+  /// quadratic); read the values back, in first-insertion order, from
+  /// stats().snapshot().gauges, the one source every exporter reads.
   void metric(std::string_view name, double value);
-
-  /// Snapshot of the named metrics in first-insertion order.
-  std::vector<Metric> metrics() const;
 
   /// Runtime (wall-clock) stats riding alongside the charged-cost trace:
   /// the metric() gauges plus, as the only histograms, one per span name.

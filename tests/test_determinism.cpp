@@ -358,7 +358,8 @@ TEST(Determinism, MultiTenantServicePinnedTraceBitIdentical) {
       }
     r.clock_steps = svc.now_steps();
     r.counters = rec.counters();
-    for (const auto& mt : rec.metrics()) r.metrics[mt.name] = mt.value;
+    for (const auto& mt : rec.stats().snapshot().gauges)
+      r.metrics[mt.name] = mt.value;
     return r;
   };
 

@@ -345,7 +345,8 @@ RunRecord run_stream(MakeEngine make_engine, std::vector<Query> stream,
   r.out = outcomes(stream);
   r.cost = res.total();
   r.counters = rec.counters();
-  for (const auto& mt : rec.metrics()) r.metrics[mt.name] = mt.value;
+  for (const auto& mt : rec.stats().snapshot().gauges)
+    r.metrics[mt.name] = mt.value;
   r.failed = res.failed_queries;
   return r;
 }
@@ -897,7 +898,8 @@ TEST(FaultStream, Alg1LongDegradedStreamKeepsAPositiveCapacityFactor) {
   EXPECT_EQ(plan.effective_capacity(engine.capacity()), 1u);
   mesh::record_fault_metrics(&rec, plan);
   std::map<std::string, double> metrics;
-  for (const auto& mt : rec.metrics()) metrics[mt.name] = mt.value;
+  for (const auto& mt : rec.stats().snapshot().gauges)
+    metrics[mt.name] = mt.value;
   EXPECT_GT(metrics.at("fault.capacity_factor"), 0.0);
 }
 
@@ -918,7 +920,8 @@ TEST(FaultStream, FaultMetricsExportedOnlyWhenArmed) {
     StreamScheduler sched(engine, BatchPolicy{});
     sched.run(stream);
     std::map<std::string, double> metrics;
-    for (const auto& mt : rec.metrics()) metrics[mt.name] = mt.value;
+    for (const auto& mt : rec.stats().snapshot().gauges)
+      metrics[mt.name] = mt.value;
     // Both JSON exports carry whatever metrics were recorded.
     std::ostringstream trace_json, metrics_json;
     trace::write_trace_json(rec, trace_json);
@@ -1123,7 +1126,8 @@ TEST(FaultStream, CorruptMetricsExportedWhenCorruptionArmed) {
   StreamScheduler sched(engine, BatchPolicy{});
   sched.run(stream);
   std::map<std::string, double> metrics;
-  for (const auto& mt : rec.metrics()) metrics[mt.name] = mt.value;
+  for (const auto& mt : rec.stats().snapshot().gauges)
+    metrics[mt.name] = mt.value;
   ASSERT_EQ(metrics.count("fault.corrupt.injected"), 1u);
   ASSERT_EQ(metrics.count("fault.corrupt.detected"), 1u);
   ASSERT_EQ(metrics.count("fault.corrupt.recovered"), 1u);
@@ -1400,7 +1404,8 @@ TEST(FaultService, PerTenantFaultMetricsLandUnderTenantNamespace) {
   svc.export_metrics();
 
   std::map<std::string, double> metrics;
-  for (const auto& mt : rec.metrics()) metrics[mt.name] = mt.value;
+  for (const auto& mt : rec.stats().snapshot().gauges)
+    metrics[mt.name] = mt.value;
   // The armed plan's family is namespaced under its tenant...
   ASSERT_TRUE(metrics.count("tenant.faulty.fault.phase_failures"));
   EXPECT_GT(metrics.at("tenant.faulty.fault.phase_failures"), 0.0);

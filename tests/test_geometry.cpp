@@ -42,17 +42,8 @@ TEST(Predicates, PointInTriangle) {
   EXPECT_TRUE(point_in_triangle({0, 0}, a, b, c));     // corner
   EXPECT_TRUE(point_in_triangle({5, 0}, a, b, c));     // edge
   EXPECT_FALSE(point_in_triangle({6, 6}, a, b, c));
-  EXPECT_FALSE(point_in_triangle_strict({5, 0}, a, b, c));
-  EXPECT_TRUE(point_in_triangle_strict({1, 1}, a, b, c));
   // Clockwise triangle works too.
   EXPECT_TRUE(point_in_triangle({1, 1}, a, c, b));
-}
-
-TEST(Predicates, SegmentsProperlyCross) {
-  EXPECT_TRUE(segments_properly_cross({0, 0}, {10, 10}, {0, 10}, {10, 0}));
-  EXPECT_FALSE(segments_properly_cross({0, 0}, {10, 0}, {5, 0}, {15, 0}));
-  EXPECT_FALSE(segments_properly_cross({0, 0}, {10, 0}, {5, 0}, {5, 5}));
-  EXPECT_FALSE(segments_properly_cross({0, 0}, {1, 1}, {5, 0}, {5, 5}));
 }
 
 TEST(Predicates, TrianglesOverlap) {

@@ -85,13 +85,15 @@ TEST(Partition, BlockLocalRoundTrip) {
     const Partition part(s, g);
     EXPECT_EQ(part.block_count(), std::size_t{g} * g);
     EXPECT_EQ(part.block_size() * part.block_count(), s.size());
-    for (std::size_t i = 0; i < s.size(); ++i) {
-      const auto b = part.block_of(i);
-      const auto l = part.local_of(i);
-      EXPECT_LT(b, part.block_count());
-      EXPECT_LT(l, part.block_size());
-      EXPECT_EQ(part.global_of(b, l), i);
-    }
+    // global_of is a bijection from (block, local) pairs onto the mesh.
+    std::vector<bool> hit(s.size(), false);
+    for (std::uint32_t b = 0; b < part.block_count(); ++b)
+      for (std::size_t l = 0; l < part.block_size(); ++l) {
+        const auto i = part.global_of(b, l);
+        ASSERT_LT(i, s.size());
+        EXPECT_FALSE(hit[i]);
+        hit[i] = true;
+      }
   }
 }
 
@@ -188,22 +190,9 @@ TEST(Ops, Scans) {
   std::vector<std::int64_t> inc{1, 2, 3, 4};
   mesh::ops::scan_inclusive(inc, m, 4);
   EXPECT_EQ(inc, (std::vector<std::int64_t>{1, 3, 6, 10}));
-  std::vector<std::int64_t> exc{1, 2, 3, 4};
-  mesh::ops::scan_exclusive(exc, m, 4);
-  EXPECT_EQ(exc, (std::vector<std::int64_t>{0, 1, 3, 6}));
   std::vector<std::int64_t> seg{1, 2, 3, 4};
   mesh::ops::scan_segmented(seg, {1, 0, 1, 0}, m, 4);
   EXPECT_EQ(seg, (std::vector<std::int64_t>{1, 3, 3, 7}));
-}
-
-TEST(Ops, ReduceAndBroadcast) {
-  const CostModel m;
-  std::vector<std::int64_t> data{7, -2, 9};
-  std::int64_t total = 0;
-  const Cost c = mesh::ops::reduce(data, total, m, 4);
-  EXPECT_EQ(total, 14);
-  EXPECT_DOUBLE_EQ(c.steps, m.reduce(4).steps);
-  EXPECT_DOUBLE_EQ(mesh::ops::broadcast(m, 4).steps, m.broadcast(4).steps);
 }
 
 TEST(Ops, RoutePermutes) {
@@ -258,9 +247,6 @@ TEST(Ops, CompressAndGather) {
   std::vector<std::int64_t> out;
   mesh::ops::compress(data, [](std::int64_t x) { return x > 0; }, out, m, 8);
   EXPECT_EQ(out, (std::vector<std::int64_t>{4, 7, 9}));
-  const std::vector<std::uint32_t> pos{4, 0};
-  mesh::ops::gather(data, pos, out, m, 8);
-  EXPECT_EQ(out, (std::vector<std::int64_t>{9, 4}));
 }
 
 }  // namespace

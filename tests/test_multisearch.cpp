@@ -800,7 +800,8 @@ TEST(Setup, DistributeInitialIsConstantOps) {
   const auto g = ds::build_hierarchical_dag(5000, 2.0, 2, rng);
   const mesh::CostModel m;
   const auto shape = g.shape_for(g.vertex_count());
-  const auto cost = distribute_initial(g, g.vertex_count(), m, shape);
+  const auto cost = distribute_graph(g, m, shape) +
+                    inject_queries(g.vertex_count(), m, shape);
   const double p = static_cast<double>(shape.size());
   EXPECT_GT(cost.steps, m.sort(p).steps);
   EXPECT_LT(cost.steps, 30.0 * std::sqrt(p));  // a constant number of ops

@@ -281,7 +281,8 @@ TEST(Breaker, ServiceTripsFailsFastAndRecovers) {
   // Both exporters carry the breaker family.
   svc.export_metrics();
   std::map<std::string, double> metrics;
-  for (const auto& mt : rec.metrics()) metrics[mt.name] = mt.value;
+  for (const auto& mt : rec.stats().snapshot().gauges)
+    metrics[mt.name] = mt.value;
   ASSERT_EQ(metrics.count("service.breaker.books_alg2-alpha.trips"), 1u);
   EXPECT_GE(metrics.at("service.breaker.books_alg2-alpha.trips"), 1.0);
   EXPECT_GE(metrics.at("service.breaker.books_alg2-alpha.recoveries"), 1.0);
@@ -588,7 +589,8 @@ TEST(Overload, OverloadPipelineBitIdenticalAcrossThreads) {
       }
     r.clock_steps = svc.now_steps();
     r.brownout_rounds = svc.brownout_rounds();
-    for (const auto& mt : rec.metrics()) r.metrics[mt.name] = mt.value;
+    for (const auto& mt : rec.stats().snapshot().gauges)
+      r.metrics[mt.name] = mt.value;
     r.metrics["harness.backpressured"] = static_cast<double>(backpressured);
     return r;
   };

@@ -227,7 +227,6 @@ TEST_P(PrimitiveFuzz, EnginesAgreeOnRandomPrimitiveSequences) {
         measured = static_cast<double>(g.broadcast_from_origin());
         charged = phys.broadcast(p).steps;
         const std::vector<std::int64_t> expect(n, data[0]);
-        mesh::ops::broadcast(phys, p);
         EXPECT_EQ(g.to_snake(), expect);
         data = expect;
         break;

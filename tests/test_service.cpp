@@ -472,7 +472,8 @@ TEST(ServiceMetrics, ExportNamespacesPerTenantAndSanitizesNames) {
   svc.export_metrics();
 
   std::map<std::string, double> metrics;
-  for (const auto& mt : rec.metrics()) metrics[mt.name] = mt.value;
+  for (const auto& mt : rec.stats().snapshot().gauges)
+    metrics[mt.name] = mt.value;
   EXPECT_EQ(metrics.at("tenant.acme.completed"),
             static_cast<double>(cap + 9));
   EXPECT_EQ(metrics.at("tenant.bolt.completed"),

@@ -206,7 +206,7 @@ TEST(TraceMetrics, TenThousandMetricsKeepOrderAndOverwrite) {
   // vector per call, turning this loop quadratic.
   for (int i = 0; i < kN; ++i)
     rec.metric(name(i), static_cast<double>(2 * i));
-  const auto metrics = rec.metrics();
+  const auto metrics = rec.stats().snapshot().gauges;
   ASSERT_EQ(metrics.size(), static_cast<std::size_t>(kN));
   for (int i : {0, 1, 4999, 9999}) {
     EXPECT_EQ(metrics[static_cast<std::size_t>(i)].name, name(i));

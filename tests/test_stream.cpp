@@ -303,14 +303,13 @@ TEST(StreamWarm, Alg1RunWithoutBandSetupIsCheaperByExactlyThatSetup) {
   auto qs_full = fx.stream(fx.g.vertex_count());
   auto qs_warm = qs_full;
   const auto full = hierarchical_multisearch(fx.dag, ds::HashWalk{0}, qs_full,
-                                             m, fx.shape, PlanKind::kGeometric,
-                                             /*charge_band_setup=*/true);
-  const auto warm = hierarchical_multisearch(fx.dag, ds::HashWalk{0}, qs_warm,
-                                             m, fx.shape, PlanKind::kGeometric,
-                                             /*charge_band_setup=*/false);
-  EXPECT_EQ(diff_outcomes(outcomes(qs_full), outcomes(qs_warm)), "");
+                                             m, fx.shape, PlanKind::kGeometric);
   const auto plan =
       make_hierarchical_plan(fx.dag, fx.shape, PlanKind::kGeometric);
+  const auto warm = msearch::detail::hierarchical_core(
+      fx.dag, plan, ds::HashWalk{0}, qs_warm, m, fx.shape, "alg1-geometric",
+      /*charge_band_setup=*/false);
+  EXPECT_EQ(diff_outcomes(outcomes(qs_full), outcomes(qs_warm)), "");
   const mesh::Cost bands = band_setup_cost(plan, fx.shape, m);
   EXPECT_GT(bands.steps, 0.0);
   // Same terms, different accumulation order -> compare to relative eps.
@@ -389,8 +388,10 @@ TEST(StreamCore, RunBatchEqualsFrontDoorAlg1BothPlans) {
           fx.shape, *batch,
           [&](std::vector<Query>& qs, const mesh::CostModel& fm,
               EntryRecord& r) {
-            const auto res = hierarchical_multisearch(
-                fx.dag, ds::HashWalk{0}, qs, fm, fx.shape, plan,
+            const auto res = msearch::detail::hierarchical_core(
+                fx.dag, make_hierarchical_plan(fx.dag, fx.shape, plan),
+                ds::HashWalk{0}, qs, fm, fx.shape,
+                plan == PlanKind::kPaper ? "alg1-paper" : "alg1-geometric",
                 /*charge_band_setup=*/false);
             r.run = res.cost;
             r.visits = res.total_visits;
@@ -612,7 +613,8 @@ TEST(StreamMetrics, ThroughputMetricsRecordedAndVisibleInTable) {
   const auto res = sched.run(stream);
 
   std::map<std::string, double> metrics;
-  for (const auto& mt : rec.metrics()) metrics[mt.name] = mt.value;
+  for (const auto& mt : rec.stats().snapshot().gauges)
+    metrics[mt.name] = mt.value;
   ASSERT_EQ(metrics.count("stream.queries_per_step"), 1u);
   ASSERT_EQ(metrics.count("stream.amortized_steps_per_query"), 1u);
   ASSERT_EQ(metrics.count("stream.setup_fraction"), 1u);
