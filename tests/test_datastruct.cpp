@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "datastruct/interval_tree.hpp"
 #include "datastruct/kary_tree.hpp"
@@ -11,6 +12,7 @@
 #include "multisearch/partitioned.hpp"
 #include "multisearch/query.hpp"
 #include "multisearch/sequential.hpp"
+#include "util/error.hpp"
 
 namespace {
 
@@ -55,6 +57,23 @@ TEST(KaryTree, RejectsBadInput) {
                std::logic_error);
   std::vector<ds::WeightedKey> dup{{1, 1}, {1, 1}};
   EXPECT_THROW(KaryTree(dup, 2, TreeMode::kDirected), std::logic_error);
+}
+
+TEST(KaryTree, RejectsNegativeWeightsAndOverflowingTotals) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  EXPECT_THROW(KaryTree({{0, kMax}, {1, 1}}, 2, TreeMode::kDirected),
+               InvalidInputError);
+  EXPECT_THROW(KaryTree({{0, 5}, {1, -1}}, 2, TreeMode::kDirected),
+               InvalidInputError);
+  // A total of exactly INT64_MAX is legal and every rank stays exact.
+  KaryTree tree({{0, kMax - 1}, {1, 1}, {2, 0}}, 2, TreeMode::kDirected);
+  auto qs = make_queries(3);
+  for (std::size_t i = 0; i < qs.size(); ++i)
+    qs[i].key[0] = static_cast<std::int64_t>(i);
+  sequential_multisearch(tree.graph(), tree.rank_count(), qs);
+  EXPECT_EQ(qs[0].acc0, kMax - 1);
+  EXPECT_EQ(qs[1].acc0, kMax);
+  EXPECT_EQ(qs[2].acc0, kMax);
 }
 
 TEST(KaryTree, SingleKeyDegenerate) {
