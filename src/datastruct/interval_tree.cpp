@@ -349,29 +349,22 @@ msearch::StructureDelta IntervalTree::apply_updates(
   delta.inserts = inserts.size();
   delta.deletes = delete_ids.size();
 
-  // Which nodes change, and their net occupancy. Deletes recompute their
-  // node by the same pure straddle-descent that placed them.
-  std::map<Vid, std::ptrdiff_t> occupancy_change;
-  std::map<Vid, std::vector<std::int32_t>> node_dels;
-  std::map<Vid, std::vector<Interval>> node_ins;
-  for (const std::int32_t id : dels) {
-    const Vid t = assign_node(*find_id(id));
-    occupancy_change[t] -= 1;
-    node_dels[t].push_back(id);
-  }
-  for (const auto& iv : inserts) {
-    const Vid t = assign_node(iv);
-    occupancy_change[t] += 1;
-    node_ins[t].push_back(iv);
-  }
+  // The touched nodes, each with the ids it loses (ascending, as `dels`
+  // is) and the ids it gains. Deletes recompute their node by the same
+  // pure straddle-descent that placed them.
+  struct NodeBatch {
+    std::vector<std::int32_t> dels;
+    std::vector<std::int32_t> ins;
+  };
+  std::map<Vid, NodeBatch> touched;
+  for (const std::int32_t id : dels)
+    touched[assign_node(*find_id(id))].dels.push_back(id);
+  for (const auto& iv : inserts) touched[assign_node(iv)].ins.push_back(iv.id);
   bool fits = true;
-  for (const auto& [t, change] : occupancy_change) {
-    (void)change;
+  for (const auto& [t, nb] : touched) {
     const auto ts = static_cast<std::size_t>(t);
-    const std::size_t del_here =
-        node_dels.count(t) ? node_dels[t].size() : 0;
-    const std::size_t ins_here = node_ins.count(t) ? node_ins[t].size() : 0;
-    const std::size_t after = node_ids_[ts].size() - del_here + ins_here;
+    const std::size_t after =
+        node_ids_[ts].size() - nb.dels.size() + nb.ins.size();
     if (after > lchain_[ts].cap || after > rchain_[ts].cap) {
       fits = false;
       break;
@@ -404,21 +397,15 @@ msearch::StructureDelta IntervalTree::apply_updates(
   // Incremental path: rewrite the touched nodes' chains in place.
   id_index = make_id_index();  // indices shifted with the erase/append
   std::vector<Vid> dirty;
-  for (const auto& [t, change] : occupancy_change) {
-    (void)change;
-    const auto ts = static_cast<std::size_t>(t);
-    auto& ids = node_ids_[ts];
-    if (node_dels.count(t)) {
-      const auto& dd = node_dels[t];
-      ids.erase(std::remove_if(ids.begin(), ids.end(),
-                               [&](std::int32_t id) {
-                                 return std::binary_search(dd.begin(),
-                                                           dd.end(), id);
-                               }),
-                ids.end());
-    }
-    if (node_ins.count(t))
-      for (const auto& iv : node_ins[t]) ids.push_back(iv.id);
+  for (const auto& [t, nb] : touched) {
+    auto& ids = node_ids_[static_cast<std::size_t>(t)];
+    ids.erase(std::remove_if(ids.begin(), ids.end(),
+                             [&](std::int32_t id) {
+                               return std::binary_search(nb.dels.begin(),
+                                                         nb.dels.end(), id);
+                             }),
+              ids.end());
+    ids.insert(ids.end(), nb.ins.begin(), nb.ins.end());
     rewrite_chain(t, /*left_chain=*/true, ids, id_index, dirty);
     rewrite_chain(t, /*left_chain=*/false, ids, id_index, dirty);
   }
