@@ -1,14 +1,15 @@
 // Cycle-engine tests: the physically faithful grid simulator, plus the
-// cross-engine checks (V1) that tie it to the counting engine — identical
-// data results, and measured step counts tracking the charged bounds.
+// cross-engine checks (V1) that tie it to the primitives' host definitions
+// (identical data results) and to the counting engine's charged bounds
+// (measured step counts tracking them).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <numeric>
 
+#include "mesh/cost.hpp"
 #include "mesh/grid.hpp"
-#include "mesh/ops.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -213,11 +214,9 @@ TEST(Grid, RouteReversalWorstCase) {
 TEST(CrossEngine, SortSameData) {
   const MeshShape s(16);
   auto vals = random_values(s.size(), 21);
-  // Counting engine.
+  // Host definition of the mesh sort: a stable sort into snake order.
   auto host = vals;
-  const mesh::CostModel m;
-  mesh::ops::sort(host, m, static_cast<double>(s.size()));
-  // Cycle engine.
+  std::stable_sort(host.begin(), host.end());
   auto g = Grid<std::int64_t>::from_snake(s, vals);
   g.shearsort();
   EXPECT_EQ(g.to_snake(), host);
@@ -226,9 +225,9 @@ TEST(CrossEngine, SortSameData) {
 TEST(CrossEngine, ScanSameData) {
   const MeshShape s(8);
   auto vals = random_values(s.size(), 22);
+  // Host definition of the snake scan: an inclusive prefix sum.
   auto host = vals;
-  const mesh::CostModel m;
-  mesh::ops::scan_inclusive(host, m, static_cast<double>(s.size()));
+  std::partial_sum(host.begin(), host.end(), host.begin());
   auto g = Grid<std::int64_t>::from_snake(s, vals);
   g.snake_scan(std::plus<std::int64_t>{});
   EXPECT_EQ(g.to_snake(), host);
