@@ -1,11 +1,11 @@
 // V1 — engine cross-validation and wall-clock throughput of the simulator.
 //
 // google-benchmark timings for the physically faithful cycle engine
-// (shearsort, snake scan, greedy routing) and the counting engine, plus a
-// table comparing measured cycle-engine step counts with the counting
-// engine's charged costs: the scan ratio is a constant, the sort ratio
-// grows as the shearsort log factor (exactly why the counting engine
-// charges the optimal bound — see DESIGN.md §2).
+// (shearsort, snake scan, greedy routing), plus a table comparing measured
+// cycle-engine step counts with the counting engine's charged costs: the
+// scan ratio is a constant, the sort ratio grows as the shearsort log
+// factor (exactly why the counting engine charges the optimal bound — see
+// DESIGN.md §2).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -19,7 +19,6 @@
 #include "datastruct/workloads.hpp"
 #include "mesh/cycle_ops.hpp"
 #include "mesh/grid.hpp"
-#include "mesh/ops.hpp"
 #include "multisearch/hierarchical.hpp"
 #include "multisearch/query.hpp"
 #include "util/check.hpp"
@@ -78,19 +77,6 @@ void BM_CycleRoutePermutation(benchmark::State& state) {
 }
 BENCHMARK(BM_CycleRoutePermutation)->Arg(16)->Arg(32)->Arg(64);
 
-void BM_CountingSort(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const auto vals = random_values(n, 4);
-  const mesh::CostModel m;
-  for (auto _ : state) {
-    auto v = vals;
-    benchmark::DoNotOptimize(mesh::ops::sort(v, m, static_cast<double>(n)));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_CountingSort)->Arg(1 << 14)->Arg(1 << 18)->Arg(1 << 22);
-
 void cross_engine_table(const bench::TraceOptions& topt) {
   bench::section("V1: measured cycle-engine steps vs charged costs");
   util::Table t({"side", "p", "shear steps", "charged sort", "ratio(sort)",
@@ -144,108 +130,6 @@ void cross_engine_table(const bench::TraceOptions& topt) {
     bench::emit_trace(rec, topt, "v1_cycle_side" + std::to_string(side));
   }
   bench::emit(t, "v1_cross_engine");
-}
-
-/// V1k — the counting-engine kernel sweep the SoA data plane is gated on.
-///
-/// One point per n: the full set of mesh::ops primitives over snake-ordered
-/// SoA arrays (integer keys, payload indices, segment flags). The table rows
-/// are charged costs plus a data checksum — both bit-identical by contract
-/// whatever the kernel implementation — while the per-op wall histograms in
-/// BENCH_v1_engines.json are what the wall gate (and the EXPERIMENTS.md V2
-/// table) compare before/after.
-void counting_kernel_sweep() {
-  bench::section("V1k: counting-engine kernel sweep (SoA data plane)");
-  util::Table t({"n", "sort", "rank", "scan", "seg scan", "route", "rar",
-                 "raw", "compress", "checksum"});
-  for (const unsigned e : {18u, 20u, 22u}) {
-    const std::size_t n = std::size_t{1} << e;
-    const double p = static_cast<double>(n);
-    const std::string tag = "v1k.n" + std::to_string(e) + ".";
-    const auto total_wall = bench::time_point(tag + "total");
-    util::Rng rng(100 + e);
-    std::vector<std::int64_t> keys(n);
-    for (auto& k : keys)
-      k = rng.uniform_range(std::int64_t{-1} << 40, std::int64_t{1} << 40);
-    const mesh::CostModel m;
-    std::uint64_t checksum = 0xcbf29ce484222325ull;
-    const auto mix = [&checksum](std::uint64_t x) {
-      checksum = (checksum ^ x) * 0x100000001b3ull;
-    };
-
-    mesh::Cost c_sort, c_rank, c_scan, c_seg, c_route, c_rar, c_raw, c_comp;
-    {
-      const auto w = bench::time_point(tag + "sort");
-      auto v = keys;
-      c_sort = mesh::ops::sort(v, m, p);
-      for (std::size_t i = 0; i < n; i += 997)
-        mix(static_cast<std::uint64_t>(v[i]));
-    }
-    std::vector<std::uint32_t> ranks;
-    {
-      const auto w = bench::time_point(tag + "rank");
-      c_rank = mesh::ops::rank(keys, ranks, m, p);
-      for (std::size_t i = 0; i < n; i += 997) mix(ranks[i]);
-    }
-    {
-      const auto w = bench::time_point(tag + "scan");
-      auto v = keys;
-      c_scan = mesh::ops::scan_inclusive(v, m, p);
-      for (std::size_t i = 0; i < n; i += 997)
-        mix(static_cast<std::uint64_t>(v[i]));
-    }
-    {
-      const auto w = bench::time_point(tag + "seg_scan");
-      auto v = keys;
-      std::vector<std::uint8_t> seg(n, 0);
-      for (std::size_t i = 0; i < n; i += 17) seg[i] = 1;
-      c_seg = mesh::ops::scan_segmented(v, seg, m, p);
-      for (std::size_t i = 0; i < n; i += 997)
-        mix(static_cast<std::uint64_t>(v[i]));
-    }
-    {
-      const auto w = bench::time_point(tag + "route");
-      const auto perm = util::random_permutation(n, rng);
-      const std::vector<std::uint32_t> dest(perm.begin(), perm.end());
-      std::vector<std::int64_t> out;
-      c_route = mesh::ops::route(keys, dest, out, n, m, p);
-      for (std::size_t i = 0; i < n; i += 997)
-        mix(static_cast<std::uint64_t>(out[i]));
-    }
-    std::vector<mesh::ops::Addr> addr(n);
-    for (std::size_t i = 0; i < n; ++i)
-      addr[i] = i % 8 == 0 ? mesh::ops::kNone
-                           : static_cast<mesh::ops::Addr>(rng.uniform(n));
-    {
-      const auto w = bench::time_point(tag + "rar");
-      std::vector<std::int64_t> out;
-      c_rar = mesh::ops::random_access_read(std::span<const std::int64_t>(keys),
-                                            std::span<const mesh::ops::Addr>(addr),
-                                            out, m, p);
-      for (std::size_t i = 0; i < n; i += 997)
-        mix(static_cast<std::uint64_t>(out[i]));
-    }
-    {
-      const auto w = bench::time_point(tag + "raw");
-      std::vector<std::uint32_t> counts;
-      c_raw = mesh::ops::random_access_count(
-          std::span<const mesh::ops::Addr>(addr), counts, n, m, p);
-      for (std::size_t i = 0; i < n; i += 997) mix(counts[i]);
-    }
-    {
-      const auto w = bench::time_point(tag + "compress");
-      std::vector<std::int64_t> out;
-      c_comp = mesh::ops::compress(
-          keys, [](std::int64_t k) { return k > 0; }, out, m, p);
-      for (std::size_t i = 0; i < out.size(); i += 997)
-        mix(static_cast<std::uint64_t>(out[i]));
-    }
-    t.add_row({static_cast<std::int64_t>(n), c_sort.steps, c_rank.steps,
-               c_scan.steps, c_seg.steps, c_route.steps, c_rar.steps,
-               c_raw.steps, c_comp.steps,
-               static_cast<std::int64_t>(checksum >> 1)});
-  }
-  bench::emit(t, "v1k_counting");
 }
 
 /// Parse `--threads <list>` / `--threads=<list>` where <list> is a comma
@@ -354,17 +238,16 @@ void thread_sweep(const std::vector<unsigned>& threads) {
 int main(int argc, char** argv) {
   const auto topt = bench::parse_trace_flag(argc, argv);
   bench::BenchReport breport("v1_engines", argc, argv);
-  // --smoke: the V1k kernel sweep only (deterministic charged table + data
-  // checksum + per-op wall histograms) for the CI bench gate; skips the
-  // cycle-engine table, the thread sweep and google-benchmark.
+  // --smoke: the cross-engine table only (deterministic measured
+  // cycle-engine steps against the charged costs) for the CI bench gate;
+  // skips the thread sweep and google-benchmark.
   if (bench::has_flag(argc, argv, "--smoke")) {
     breport.set_config("smoke", "1");
-    counting_kernel_sweep();
+    cross_engine_table(topt);
     return 0;
   }
   const auto threads = parse_threads_flag(argc, argv);
   cross_engine_table(topt);
-  counting_kernel_sweep();
   thread_sweep(threads);
   // Strip --trace/--threads before handing argv to google-benchmark, which
   // rejects flags it does not know.

@@ -8,9 +8,9 @@
 #include <cstdlib>
 #include <iostream>
 
+#include "mesh/cost.hpp"
 #include "mesh/cycle_ops.hpp"
 #include "mesh/grid.hpp"
-#include "mesh/ops.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 

@@ -19,9 +19,10 @@
 // composite operations of mesh/cycle_ops.hpp (route_partial, the physical
 // random access read and write) call it directly.
 //
-// The counting engine (mesh/ops.hpp) charges closed-form costs for the same
-// operations; the cross-engine tests check that both compute identical data
-// and that measured steps track the charged bounds.
+// The counting engine (mesh::CostModel, mesh/cost.hpp) charges closed-form
+// costs for the same operations; the cross-engine tests check that the grid
+// computes each primitive's host definition and that measured steps track
+// the charged bounds.
 #pragma once
 
 #include <algorithm>

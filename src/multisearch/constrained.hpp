@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "mesh/cost.hpp"
-#include "mesh/ops.hpp"
 #include "mesh/snake.hpp"
 #include "multisearch/graph.hpp"
 #include "multisearch/splitter.hpp"
@@ -175,7 +174,7 @@ ConstrainedStats constrained_pass(const DistributedGraph& g,
           ++visits[c];
           return true;
         };
-        constexpr std::size_t kAhead = mesh::ops::soa::kPrefetchDistance;
+        constexpr std::size_t kAhead = kPrefetchDistance;
         if (hi - lo <= kAhead) {
           for (std::size_t j = lo; j < hi; ++j) {
             std::size_t k = 0;

@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "mesh/ops_soa.hpp"
 #include "mesh/snake.hpp"
 #include "multisearch/types.hpp"
 #include "util/check.hpp"
@@ -94,6 +93,19 @@ inline constexpr std::size_t visit_bytes = [] {
     return sizeof(VertexRecord);
 }();
 
+/// Prefetch distance for the software-pipelined pointer-chase loops: far
+/// enough to cover DRAM latency at ~1 visit per handful of cycles, small
+/// enough that the prefetched lines survive in L1/L2.
+inline constexpr std::size_t kPrefetchDistance = 16;
+
+inline void prefetch(const void* p) {
+#if defined(__GNUC__) || defined(__clang__)
+  __builtin_prefetch(p);
+#else
+  (void)p;
+#endif
+}
+
 /// Prefetch every cache line of v's record that a visit by prog reads: the
 /// lines spanned by its first visit_bytes<P> bytes, whatever the record's
 /// alignment. Touching every 64th byte from p and the last byte covers them
@@ -106,8 +118,8 @@ template <SearchProgram P>
 void prefetch_visit(const DistributedGraph& g, const P&, Vid v) {
   const char* p = reinterpret_cast<const char*>(&g.vert(v));
   for (std::size_t off = 0; off < visit_bytes<P>; off += 64)
-    mesh::ops::soa::prefetch(p + off);
-  mesh::ops::soa::prefetch(p + visit_bytes<P> - 1);
+    prefetch(p + off);
+  prefetch(p + visit_bytes<P> - 1);
 }
 
 /// Visit semantics shared by all engines: q arrives at q.next, receives the
@@ -151,7 +163,7 @@ std::size_t advance_all(const DistributedGraph& g, const P& prog,
   util::ThreadPool::global().parallel_for_chunks(
       0, queries.size(),
       [&](std::size_t lo, std::size_t hi) {
-        constexpr std::size_t kAhead = mesh::ops::soa::kPrefetchDistance;
+        constexpr std::size_t kAhead = kPrefetchDistance;
         for (std::size_t i = lo; i < std::min(hi, lo + kAhead); ++i)
           prefetch(queries[i]);
         std::size_t local = 0;

@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "mesh/cost.hpp"
-#include "mesh/ops_soa.hpp"
 #include "mesh/snake.hpp"
 #include "multisearch/graph.hpp"
 #include "multisearch/validate.hpp"
@@ -235,9 +234,8 @@ std::size_t advance_through_levels(const DistributedGraph& g, const P& prog,
       std::size_t w = 0;
       const std::size_t n_live = live.size();
       for (std::size_t k = 0; k < n_live; ++k) {
-        if (k + mesh::ops::soa::kPrefetchDistance < n_live) {
-          const Query& qa =
-              queries[live[k + mesh::ops::soa::kPrefetchDistance]];
+        if (k + kPrefetchDistance < n_live) {
+          const Query& qa = queries[live[k + kPrefetchDistance]];
           if (qa.current != kNoVertex && qa.next != kNoVertex)
             prefetch_visit(g, prog, qa.next);
         }

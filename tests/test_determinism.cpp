@@ -7,13 +7,11 @@
 
 #include <algorithm>
 #include <map>
-#include <span>
 #include <vector>
 
 #include "datastruct/kary_tree.hpp"
 #include "datastruct/workloads.hpp"
 #include "mesh/fault.hpp"
-#include "mesh/ops.hpp"
 #include "multisearch/constrained.hpp"
 #include "multisearch/hierarchical.hpp"
 #include "multisearch/partitioned.hpp"
@@ -211,43 +209,6 @@ TEST(Determinism, DisarmedFaultPlanBitIdenticalStandaloneEngines) {
   EXPECT_EQ(bare.cost, with.cost);
   EXPECT_TRUE(bare.counters == with.counters);
   EXPECT_EQ(disarmed.stats().detections, 0u);
-}
-
-TEST(Determinism, SoaCountingKernelsBitIdenticalAcrossThreads) {
-  // The SoA kernels (radix sort histograms, fixed-chunk scatters) are the
-  // only counting-engine code with real host parallelism inside a
-  // primitive; their data and charged costs must not depend on the pool.
-  util::Rng rng(20);
-  const std::size_t n = 1 << 15;
-  std::vector<std::int64_t> keys(n);
-  for (auto& k : keys) k = rng.uniform_range(-(1ll << 40), 1ll << 40);
-  std::vector<std::int64_t> dup(n);  // heavy duplication stresses stability
-  for (auto& k : dup) k = rng.uniform_range(0, 7);
-  const mesh::CostModel m;
-  const double p = static_cast<double>(n);
-  struct KernelRecord {
-    std::vector<std::int64_t> sorted, dup_sorted;
-    std::vector<std::uint32_t> ranks, order;
-    mesh::Cost cost;
-    bool operator==(const KernelRecord&) const = default;
-  };
-  const auto run = [&] {
-    KernelRecord r;
-    r.sorted = keys;
-    r.cost += mesh::ops::sort(r.sorted, m, p);
-    r.dup_sorted = dup;
-    r.cost += mesh::ops::sort(r.dup_sorted, m, p);
-    r.cost += mesh::ops::rank(keys, r.ranks, m, p);
-    r.order = mesh::ops::soa::sort_index(std::span<const std::int64_t>(dup));
-    return r;
-  };
-  util::ThreadPool::set_global_threads(1);
-  const KernelRecord serial = run();
-  util::ThreadPool::set_global_threads(8);
-  const KernelRecord parallel = run();
-  util::ThreadPool::set_global_threads(0);
-  EXPECT_TRUE(serial == parallel)
-      << "SoA kernel data or cost diverged across thread counts";
 }
 
 TEST(Determinism, Alg3AlphaBetaPartitioned) {

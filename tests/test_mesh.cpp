@@ -1,16 +1,10 @@
 // Unit tests for the mesh data model and the counting engine: snake-order
-// algebra, submesh partitions, the cost model, and the standard mesh
-// operations (data correctness + charged costs).
+// algebra, submesh partitions, and the cost model's charged bounds.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <numeric>
-
 #include "mesh/cost.hpp"
-#include "mesh/ops.hpp"
 #include "mesh/snake.hpp"
 #include "mesh/submesh.hpp"
-#include "util/rng.hpp"
 
 namespace {
 
@@ -146,107 +140,6 @@ TEST(CostModel, PhysicalSortChargesLogFactor) {
   m.physical_sort = true;
   const double p = 1 << 20;
   EXPECT_NEAR(m.sort(p).steps, std::sqrt(p) * (20 + 1), 1e-6);
-}
-
-// ---------------------------------------------------------------------------
-// Counting-engine operations
-// ---------------------------------------------------------------------------
-
-TEST(Ops, SortSortsAndCharges) {
-  util::Rng rng(1);
-  std::vector<std::int64_t> data(1000);
-  for (auto& x : data) x = rng.uniform_range(-500, 500);
-  const CostModel m;
-  const Cost c = mesh::ops::sort(data, m, 1024);
-  EXPECT_TRUE(std::is_sorted(data.begin(), data.end()));
-  EXPECT_DOUBLE_EQ(c.steps, m.sort(1024).steps);
-}
-
-TEST(Ops, SortIsStable) {
-  struct KV {
-    int k;
-    int v;
-  };
-  std::vector<KV> data{{1, 0}, {0, 1}, {1, 2}, {0, 3}, {1, 4}};
-  const CostModel m;
-  mesh::ops::sort(data, m, 8, [](const KV& a, const KV& b) { return a.k < b.k; });
-  EXPECT_EQ(data[0].v, 1);
-  EXPECT_EQ(data[1].v, 3);
-  EXPECT_EQ(data[2].v, 0);
-  EXPECT_EQ(data[3].v, 2);
-  EXPECT_EQ(data[4].v, 4);
-}
-
-TEST(Ops, RankMatchesSortPosition) {
-  std::vector<std::int64_t> data{5, 1, 4, 1, 3};
-  std::vector<std::uint32_t> ranks;
-  const CostModel m;
-  mesh::ops::rank(data, ranks, m, 8);
-  EXPECT_EQ(ranks, (std::vector<std::uint32_t>{4, 0, 3, 1, 2}));
-}
-
-TEST(Ops, Scans) {
-  const CostModel m;
-  std::vector<std::int64_t> inc{1, 2, 3, 4};
-  mesh::ops::scan_inclusive(inc, m, 4);
-  EXPECT_EQ(inc, (std::vector<std::int64_t>{1, 3, 6, 10}));
-  std::vector<std::int64_t> seg{1, 2, 3, 4};
-  mesh::ops::scan_segmented(seg, {1, 0, 1, 0}, m, 4);
-  EXPECT_EQ(seg, (std::vector<std::int64_t>{1, 3, 3, 7}));
-}
-
-TEST(Ops, RoutePermutes) {
-  const CostModel m;
-  std::vector<std::int64_t> data{10, 11, 12, 13};
-  std::vector<std::uint32_t> dest{2, 0, 3, 1};
-  std::vector<std::int64_t> out;
-  mesh::ops::route(data, dest, out, 4, m, 4);
-  EXPECT_EQ(out, (std::vector<std::int64_t>{11, 13, 10, 12}));
-}
-
-TEST(Ops, RouteDetectsCollision) {
-  const CostModel m;
-  std::vector<std::int64_t> data{1, 2};
-  std::vector<std::uint32_t> dest{0, 0};
-  std::vector<std::int64_t> out;
-  EXPECT_THROW(mesh::ops::route(data, dest, out, 2, m, 4), std::logic_error);
-}
-
-TEST(Ops, RandomAccessReadWithDuplicates) {
-  const CostModel m;
-  const std::vector<std::int64_t> table{100, 200, 300};
-  const std::vector<mesh::ops::Addr> addr{2, 0, 2, mesh::ops::kNone, 1};
-  std::vector<std::int64_t> out;
-  const Cost c = mesh::ops::random_access_read<std::int64_t>(table, addr, out, m, 16);
-  EXPECT_EQ(out, (std::vector<std::int64_t>{300, 100, 300, 0, 200}));
-  EXPECT_DOUBLE_EQ(c.steps, m.rar(16).steps);
-}
-
-TEST(Ops, RandomAccessWriteCombines) {
-  const CostModel m;
-  std::vector<std::int64_t> table{0, 0, 0};
-  const std::vector<mesh::ops::Addr> addr{1, 1, 2, mesh::ops::kNone};
-  const std::vector<std::int64_t> vals{5, 7, 9, 100};
-  mesh::ops::random_access_write<std::int64_t>(
-      addr, vals, table, [](std::int64_t a, std::int64_t b) { return a + b; },
-      m, 16);
-  EXPECT_EQ(table, (std::vector<std::int64_t>{0, 12, 9}));
-}
-
-TEST(Ops, RandomAccessCount) {
-  const CostModel m;
-  const std::vector<mesh::ops::Addr> addr{0, 2, 2, 2, mesh::ops::kNone};
-  std::vector<std::uint32_t> counts;
-  mesh::ops::random_access_count(addr, counts, 3, m, 16);
-  EXPECT_EQ(counts, (std::vector<std::uint32_t>{1, 0, 3}));
-}
-
-TEST(Ops, CompressAndGather) {
-  const CostModel m;
-  const std::vector<std::int64_t> data{4, -1, 7, -3, 9};
-  std::vector<std::int64_t> out;
-  mesh::ops::compress(data, [](std::int64_t x) { return x > 0; }, out, m, 8);
-  EXPECT_EQ(out, (std::vector<std::int64_t>{4, 7, 9}));
 }
 
 }  // namespace

@@ -27,9 +27,9 @@ file(MAKE_DIRECTORY "${WORK_DIR}")
 
 # The smoke set: every experiment with a committed baseline. Keep in sync
 # with bench/baselines/ (bench_check fails if a baseline has no report).
-# bench_v1_engines --smoke is the counting-kernel sweep: its charged table
-# and data checksum pin the SoA kernels to the scalar reference, and its
-# wall histograms feed the wall gate when MESHSEARCH_BENCH_WALL_GATE=1.
+# bench_v1_engines --smoke is the cross-engine table: it pins the cycle
+# engine's measured shearsort, scan, route and RAR step counts (sides
+# 8-128) next to the charged costs they are compared with.
 set(SMOKE_BENCHES bench_e1_hierarchical bench_e8_stream bench_e10_service bench_e11_dynamic bench_e12_overload bench_v1_engines)
 
 foreach(b ${SMOKE_BENCHES})
