@@ -10,16 +10,16 @@
 //                increments a consecutive-failure streak; any successful
 //                batch resets it. When the streak reaches the policy
 //                threshold the breaker TRIPS open.
-//   kOpen      — dispatch to this engine throws CircuitOpenError
-//                immediately: no charge, no retry-budget burn. The
-//                scheduler turns that into reported-failed tickets
-//                (TenantReport::failed_fast) — fail fast is still
-//                fail REPORTED, never fail silent.
+//   kOpen      — admit refuses dispatch to this engine: no charge, no
+//                retry-budget burn. The scheduler turns that into
+//                reported-failed tickets (TenantReport::failed_fast) —
+//                fail fast is still fail REPORTED, never fail silent.
 //   kHalfOpen  — on the first dispatch of a LATER scheduling round than the
 //                one that tripped it, the breaker lets exactly one probe
 //                batch through. A successful probe closes the breaker
 //                (recovery); a failed probe re-trips it, and the next round
-//                probes again.
+//                probes again. A probe that throws leaves the breaker
+//                half-open, and the next round probes again too.
 //
 // Like everything else in the service layer, the breaker runs on the
 // scheduler's virtual round counter and sees only deterministic events
@@ -32,10 +32,8 @@
 // nothing.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
-
-#include "util/error.hpp"
 
 namespace meshsearch::service {
 
@@ -49,7 +47,7 @@ struct BreakerPolicy {
 enum class BreakerState : std::uint8_t {
   kClosed = 0,
   kOpen,
-  kHalfOpen,  ///< probe batch in flight (transient within one dispatch)
+  kHalfOpen,  ///< probe batch in flight (or one that threw)
 };
 
 /// Deterministic counters, exported as service.breaker.<engine>.* gauges by
@@ -75,12 +73,10 @@ class CircuitBreaker {
   const BreakerCounters& counters() const { return counters_; }
 
   /// Dispatch gate, called with the scheduler's round number before any
-  /// engine work. Disabled or closed: passes. Open: the first call of a
-  /// round later than the trip round becomes the half-open probe (passes,
-  /// counted); every other call throws CircuitOpenError — the fail-fast,
-  /// zero-charge path. `dataset` and `engine_kind` only label the error.
-  void admit(std::uint64_t round, const std::string& dataset,
-             const std::string& engine_kind);
+  /// engine work. True means dispatch: the breaker is disabled or closed,
+  /// or this call is the probe (the first of a round later than the trip
+  /// round, counted). False means fail fast: no engine work, zero charge.
+  bool admit(std::uint64_t round);
 
   /// A dispatched batch completed. Returns true when this was a successful
   /// half-open probe (the breaker just recovered to kClosed).

@@ -189,21 +189,16 @@ ServiceScheduler::ServeOutcome ServiceScheduler::serve_slice(
   out.taken = cur.indices.size();
   Engine& engine = t.engine();
   CircuitBreaker& breaker = engine.breaker();
-  if (breaker.enabled()) {
-    try {
-      breaker.admit(round_, engine.dataset(),
-                    msearch::engine_kind_name(engine.kind()));
-    } catch (const CircuitOpenError&) {
-      // Fail fast: reported failed with ZERO charge — no engine work, no
-      // retry-budget burn, no clock advance. Still never silent: every
-      // ticket flips to kFailed and the completion callback fires.
-      breaker.count_fail_fast(cur.indices.size());
-      t.acct_.failed_fast += cur.indices.size();
-      for (const auto idx : cur.indices)
-        resolve(t, idx, QueryState::kFailed, clock_, /*dispatched=*/false);
-      out.resolved += cur.indices.size();
-      return out;
-    }
+  if (!breaker.admit(round_)) {
+    // Fail fast: reported failed with ZERO charge — no engine work, no
+    // retry-budget burn, no clock advance. Still never silent: every
+    // ticket flips to kFailed and the completion callback fires.
+    breaker.count_fail_fast(cur.indices.size());
+    t.acct_.failed_fast += cur.indices.size();
+    for (const auto idx : cur.indices)
+      resolve(t, idx, QueryState::kFailed, clock_, /*dispatched=*/false);
+    out.resolved += cur.indices.size();
+    return out;
   }
   engine.bind_sinks(trace_, t.fault_);
   // Span per attempt, like "stream.batch N": closing it lands the wall
@@ -211,8 +206,17 @@ ServiceScheduler::ServeOutcome ServiceScheduler::serve_slice(
   trace::SpanScope span(trace_, "service.batch " + std::to_string(serial_));
   ++serial_;
   const double attempt_start = clock_;
-  const msearch::SliceAttempt a =
-      msearch::run_slice(engine, t.fault_, t.stream_, cur, scratch_);
+  msearch::SliceAttempt a;
+  try {
+    a = msearch::run_slice(engine, t.fault_, t.stream_, cur, scratch_);
+  } catch (...) {
+    // An error the slice cannot absorb (a stale engine, a paranoid-oracle
+    // mismatch) left the tickets at their checkpoint: put the slice back
+    // at the front at its own re-plan generation, so none is lost, and let
+    // the caller see the error.
+    t.queue_.push_front(std::move(cur));
+    throw;
+  }
   if (a.outcome == msearch::SliceOutcome::kReslice) {
     out.faulted = true;
     breaker.record_failure(round_);

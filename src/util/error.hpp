@@ -201,43 +201,6 @@ class BackpressureError : public CapacityError {
   std::size_t max_queue_ = 0;
 };
 
-/// A dispatch was refused by an open circuit breaker: the engine's last N
-/// consecutive batches degraded or faulted, so the service fails fast (no
-/// charge, no retry-budget burn) instead of feeding more work to an engine
-/// that is currently failing everything. Recoverable: the breaker half-opens
-/// a probe batch on the next scheduling round, and a successful probe closes
-/// it again. Carries the engine identity (dataset + kind) and the failure
-/// streak that tripped it.
-class CircuitOpenError : public Error {
- public:
-  CircuitOpenError(std::string dataset, std::string engine_kind,
-                   std::uint32_t consecutive_failures, ErrorContext ctx = {})
-      : Error(
-            [&] {
-              std::ostringstream os;
-              os << "circuit breaker open for engine '" << dataset << '/'
-                 << engine_kind << "' after " << consecutive_failures
-                 << " consecutive degraded/faulted batches (half-open probe "
-                    "next round)";
-              return os.str();
-            }(),
-            std::move(ctx)),
-        dataset_(std::move(dataset)),
-        engine_kind_(std::move(engine_kind)),
-        consecutive_failures_(consecutive_failures) {}
-
-  const std::string& dataset() const noexcept { return dataset_; }
-  const std::string& engine_kind() const noexcept { return engine_kind_; }
-  std::uint32_t consecutive_failures() const noexcept {
-    return consecutive_failures_;
-  }
-
- private:
-  std::string dataset_;
-  std::string engine_kind_;
-  std::uint32_t consecutive_failures_ = 0;
-};
-
 /// A warm engine was asked to serve against a structure that has been
 /// mutated since the engine was prepared (or refreshed). An IntegrityError
 /// — serving would return answers for a dataset that no longer exists —

@@ -1478,12 +1478,27 @@ TEST(ServiceUpdates, OutOfBandMutationSurfacesStaleEngineErrorFromPump) {
   service::TenantQuota quota;
   quota.max_outstanding = 4 * shape.size();
   service::TenantSession& t = svc.add_tenant("acme", *engine, quota);
-  t.submit(rank_queries(shape.size() / 2, 120, 83));
-  // Mutating the structure WITHOUT submit_update is the bug this PR closes:
-  // the service refuses to serve the stale engine rather than answering
-  // from a structure the engine never distributed.
+  const auto queries = rank_queries(shape.size() / 2, 120, 83);
+  const service::Submission s = t.submit(queries);
+  // Mutating the structure WITHOUT submit_update: the service refuses to
+  // serve the stale engine rather than answering from a structure the
+  // engine never distributed.
   tree.apply_updates({ds::WeightedKey{700, 1}}, {});
   EXPECT_THROW(svc.run_until_idle(), StaleEngineError);
+  // The throw loses no ticket: the slice went back on the tenant's queue,
+  // so once the engine is refreshed every query is served, and answered
+  // from the mutated structure.
+  RefreshRequest req;
+  req.force_full = true;
+  engine->refresh(req);
+  svc.run_until_idle();
+  EXPECT_EQ(t.outstanding(), 0u);
+  auto expect = queries;
+  sequential_multisearch(tree.graph(), tree.rank_count(), expect);
+  std::vector<Query> got;
+  for (service::Ticket k = s.first; k < s.first + s.count; ++k)
+    got.push_back(t.result(k));
+  EXPECT_EQ(diff_outcomes(outcomes(got), outcomes(expect)), "");
 }
 
 TEST(ServiceUpdates, FaultExhaustedRefreshDegradesAndStillApplies) {
